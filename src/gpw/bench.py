@@ -22,7 +22,7 @@ import numpy as np
 
 from .construction import build_basis
 from .interp import assemble_gpw_matrix, taylor_match
-from .operators import OperatorFamily
+from .operators import HypothesisError, OperatorFamily
 from .special import (
     airy_derivative_stack,
     bessel_derivative_stack,
@@ -437,6 +437,8 @@ def run_convergence(
     """
     if p is None:
         p = 2 * n + 1
+    if p < 1:
+        raise ValueError(f"p must be positive, got {p}")
     h = np.asarray(DEFAULT_H_GRID if h_grid is None else h_grid, dtype=float)
     if h.size and not np.all(np.diff(h) < 0):
         raise ValueError("h grid must be strictly decreasing")
@@ -460,7 +462,7 @@ def run_convergence(
         op = case.family.instantiate(center, q=q)
         try:
             basis = build_basis(op, p)
-        except ValueError as exc:
+        except HypothesisError as exc:
             logger.warning("redrew center %s for case %s: %s", center, case.name, exc)
             continue
         F = exact_solution_taylor(case, center, n)

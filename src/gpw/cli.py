@@ -44,7 +44,7 @@ from .construction import (
     serialize_gpw,
 )
 from .interp import assemble_gpw_matrix, assemble_reference_matrix, numeric_rank
-from .operators import check_hypotheses
+from .operators import HypothesisError, check_hypotheses
 
 CASE_NAMES = ("Ad", "Jc", "JJ", "cs")
 FORMAT_NAMES = ("csv", "plotdata")
@@ -216,17 +216,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
     op = case.family.instantiate(center, q=args.q)
     report = check_hypotheses(op)
     if not report.hyp1:
-        raise ValueError(f"case {case.name}: leading coefficient vanishes at {center}")
+        raise HypothesisError(f"case {case.name}: leading coefficient vanishes at {center}")
     if report.hyp2 is None or not report.hyp2.valid:
-        raise ValueError(f"case {case.name}: no usable symbol factorization at {center}")
-    gpw = construct_gpw(
-        op,
-        GpwNormalization(
-            theta=args.theta,
-            kappa=kappa_from_zeroth(op),
-            factorization=report.hyp2,
-        ),
+        raise HypothesisError(f"case {case.name}: no usable symbol factorization at {center}")
+    norm = GpwNormalization(
+        theta=args.theta,
+        kappa=kappa_from_zeroth(op),
+        factorization=report.hyp2,
     )
+    gpw = construct_gpw(op, [norm])[0]
     _write(serialize_gpw(gpw), args.out)
     return 0
 

@@ -9,16 +9,21 @@ lambda_{M+I, L-I} appear through a lower-triangular system whose diagonal is
 a nonzero multiple of the leading operator coefficient.  Solving level by
 level with forward substitution is therefore explicit; everything with
 x-degree below M stays free and is fixed by the normalization up front.
+The level systems depend on the operator alone, so the waves of a basis are
+solved together, with one batched residual evaluation per level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from gpw.operators import (
+    HYP1_RTOL,
+    HypothesisError,
     PdeOperator,
     SymbolFactorization,
     check_hypotheses,
@@ -142,38 +147,44 @@ class GpwPolynomial:
         return self.phase[(1, 0)], self.phase[(0, 1)]
 
 
-def construct_gpw(op: PdeOperator, norm: GpwNormalization) -> GpwPolynomial:
-    """Fill the free coefficients from the normalization, then solve the
-    levels 0..q-1 in order by forward substitution.  Requires only a
-    nonvanishing leading coefficient at the center.
+def construct_gpw(
+    op: PdeOperator, norms: Sequence[GpwNormalization]
+) -> list[GpwPolynomial]:
+    """Fill the free coefficients of each wave from its normalization, then
+    solve the levels 0..q-1 in order by forward substitution, all waves at
+    once.  Requires only a nonvanishing leading coefficient at the center.
+
+    The level matrix depends on the operator alone, so it is built once per
+    level; the waves differ only in their right-hand sides.
     """
     M, q = op.M, op.q
     degree = M + q - 1
+    norms = list(norms)
+    if not norms:
+        raise ValueError("need at least one normalization")
     pivot = op.principal_at_center()
     largest = max(
         (abs(op.coefficient_at_center(k, l)) for (k, l) in op.coeffs), default=0.0
     )
-    if largest == 0 or abs(pivot) <= 1e-10 * largest:
-        raise ValueError("leading coefficient vanishes at the center")
+    if largest == 0 or abs(pivot) <= HYP1_RTOL * largest:
+        raise HypothesisError("leading coefficient vanishes at the center")
 
-    arr = np.zeros(tri_size(degree), dtype=complex)
-    l10, l01 = norm.first_order_pair()
-    arr[index_of(1, 0)] = l10
-    arr[index_of(0, 1)] = l01
-    n_fixed = 0
-    for (i, j), value in norm.fixed_values.items():
-        if (i, j) in ((1, 0), (0, 1)):
-            continue
-        if (i, j) == (0, 0):
-            raise ValueError("the constant phase coefficient stays zero")
-        if i >= M:
-            raise ValueError(f"({i},{j}) is solved by the construction, not free")
-        if i + j > degree:
-            raise ValueError(f"({i},{j}) beyond phase degree {degree}")
-        arr[index_of(i, j)] = value
-    for i, j in graded_indices(degree):
-        if i < M:
-            n_fixed += 1
+    arr = np.zeros((len(norms), tri_size(degree)), dtype=complex)
+    for row, norm in zip(arr, norms):
+        l10, l01 = norm.first_order_pair()
+        row[index_of(1, 0)] = l10
+        row[index_of(0, 1)] = l01
+        for (i, j), value in norm.fixed_values.items():
+            if (i, j) in ((1, 0), (0, 1)):
+                continue
+            if (i, j) == (0, 0):
+                raise ValueError("the constant phase coefficient stays zero")
+            if i >= M:
+                raise ValueError(f"({i},{j}) is solved by the construction, not free")
+            if i + j > degree:
+                raise ValueError(f"({i},{j}) beyond phase degree {degree}")
+            row[index_of(i, j)] = value
+    n_fixed = sum(1 for i, _ in graded_indices(degree) if i < M)
 
     n_dof, n_eqn, n_fixed_expected = dof_counts(M, q)
     assert n_fixed == n_fixed_expected
@@ -182,24 +193,28 @@ def construct_gpw(op: PdeOperator, norm: GpwNormalization) -> GpwPolynomial:
     solved = 0
     for L in range(q):
         T = level_matrix(op, L)
-        partial = TaylorSeries2(op.center, degree, arr)
+        # Residual cells of level L read phase coefficients of length at most
+        # M+L, so the phases truncated there give them exactly; layer M+L
+        # holds its fixed entries and zeros where this level's unknowns go.
+        partial = TaylorSeries2(op.center, M + L, arr[:, : tri_size(M + L)])
         res = residual_series(op, partial, L)
-        rhs = -np.array([res[(I, L - I)] for I in range(L + 1)])
-        # the one residual evaluation already accounts for the fixed entries
-        # of layer M+L sitting in `partial`; peel off previously substituted
-        # unknowns of the same level as we walk down the triangle
-        unknowns = np.zeros(L + 1, dtype=complex)
+        rhs = -res.coeffs[:, [index_of(I, L - I) for I in range(L + 1)]]
+        # peel off previously substituted unknowns of the same level as we
+        # walk down the triangle
+        unknowns = np.zeros_like(rhs)
         for I in range(L + 1):
-            acc = rhs[I]
+            acc = rhs[:, I]
             for I2 in range(max(0, I - M), I):
-                acc -= T[M + I, M + I2] * unknowns[I2]
-            unknowns[I] = acc / T[M + I, M + I]
-            arr[index_of(M + I, L - I)] = unknowns[I]
+                acc = acc - T[M + I, M + I2] * unknowns[:, I2]
+            unknowns[:, I] = acc / T[M + I, M + I]
+            arr[:, index_of(M + I, L - I)] = unknowns[:, I]
             solved += 1
     assert solved == n_eqn
 
-    phase = TaylorSeries2(op.center, degree, arr)
-    return GpwPolynomial(operator=op, phase=phase, normalization=norm)
+    return [
+        GpwPolynomial(op, TaylorSeries2(op.center, degree, row), norm)
+        for row, norm in zip(arr, norms)
+    ]
 
 
 def kappa_from_zeroth(op: PdeOperator) -> complex:
@@ -244,22 +259,23 @@ def build_basis(
         raise ValueError("p must be positive")
     report = check_hypotheses(op)
     if not report.hyp1:
-        raise ValueError("leading coefficient vanishes at the center")
+        raise HypothesisError("leading coefficient vanishes at the center")
     if factorization is None:
         factorization = report.hyp2
     if factorization is None or not factorization.valid:
-        raise ValueError("no usable symbol factorization")
+        raise HypothesisError("no usable symbol factorization")
     if kappa is None:
         kappa = kappa_from_zeroth(op)
     if kappa == 0:
         raise ValueError("kappa must be nonzero")
     angles = basis_angles(p)
-    functions = [
-        construct_gpw(
-            op, GpwNormalization(theta=theta, kappa=kappa, factorization=factorization)
-        )
-        for theta in angles
-    ]
+    functions = construct_gpw(
+        op,
+        [
+            GpwNormalization(theta=theta, kappa=kappa, factorization=factorization)
+            for theta in angles
+        ],
+    )
     return GpwBasis(operator=op, functions=functions, angles=angles, kappa=kappa)
 
 

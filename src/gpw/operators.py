@@ -36,6 +36,14 @@ from gpw.taylor2d import (
 HYP1_RTOL = 1e-10  # leading coefficient must clear this times the largest one
 
 
+class HypothesisError(ValueError):
+    """The operator fails hypothesis 1 or 2 at its center.
+
+    A property of the center, not of the arguments: a study may redraw the
+    center on this error and on no other.
+    """
+
+
 def principal_sqrt(z: complex) -> complex:
     """Principal square root; a negative real input with imaginary part -0.0
     would otherwise fall on the wrong side of the branch cut.
@@ -351,6 +359,8 @@ class OperatorFamily:
     def instantiate(
         self, center: tuple[float, float], q: int, coeff_order: int | None = None
     ) -> PdeOperator:
+        if q < 1:
+            raise ValueError(f"q must be at least 1, got {q}")
         order = q - 1 if coeff_order is None else coeff_order
         coeffs = {ij: expr.build(center, order) for ij, expr in self._parsed.items()}
         return PdeOperator(M=self.M, center=center, coeffs=coeffs, q=q)

@@ -11,6 +11,13 @@ fixed total degree: a series of order Q carries exactly the triangle
 {(i, j) : i + j <= Q}.  Coefficients are stored in a flat complex array,
 level by level, with (i, j) at offset (i+j)(i+j+1)/2 + j.
 
+A series may also carry a batch of such triangles: coefficients of shape
+(..., tri_size(order)), one row per series.  Products, derivatives,
+truncation, sums and differences act on the last axis and broadcast an
+unbatched series against a batched one, so a whole basis of phases goes
+through the residual recurrence in one pass.  Indexing, evaluation and
+ts_exp take a single series.
+
 Multi-indices additionally carry a strict total order: shorter first, ties
 broken by the smaller x-component.  Equal-length indices of the form
 "μ1+μ2 = ν1+ν2" are compared through μ1 < ν1 (comparing the components of a
@@ -73,11 +80,45 @@ def _triangle_ij(order: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
+@lru_cache(maxsize=None)
+def _toeplitz_plan(order: int) -> list[np.ndarray]:
+    """Gather indices into a flat triangle with one zero appended.
+
+    Entry u is the (m, m) matrix, m = order + 1 - u, whose [v, j] element
+    picks (u, j - v) for j >= v and the appended zero below the diagonal:
+    the Toeplitz matrix that convolves a row with row u of the series.
+    """
+    n = order + 1
+    square = np.zeros((n, n), dtype=int)
+    ii, jj = _triangle_ij(order)
+    square[ii, jj] = np.arange(tri_size(order))
+    plan = []
+    for u in range(n):
+        shift = np.arange(n - u) - np.arange(n - u)[:, None]  # [v, j] = j - v
+        plan.append(np.where(shift >= 0, square[u, np.maximum(shift, 0)], tri_size(order)))
+    return plan
+
+
+@lru_cache(maxsize=None)
+def _derive_plan(order: int, d: Index) -> tuple[np.ndarray, np.ndarray]:
+    # source offset and binomial weight of each output cell of ts_derive
+    di, dj = d
+    q = order - di - dj
+    ii, jj = _triangle_ij(q)
+    length = ii + di + jj + dj
+    src = length * (length + 1) // 2 + jj + dj  # index_of(i + di, j + dj)
+    wi = np.array([math.comb(i + di, di) for i in range(q + 1)])
+    wj = np.array([math.comb(j + dj, dj) for j in range(q + 1)])
+    return src, wi[ii] * wj[jj]
+
+
 @dataclass(frozen=True, eq=False)
 class TaylorSeries2:
     """Dense triangular store of scaled Taylor coefficients.
 
-    Immutable after construction; all arithmetic returns new instances.
+    coeffs has shape (..., tri_size(order)); leading axes index a batch of
+    series sharing center and order.  Immutable after construction; all
+    arithmetic returns new instances.
     """
 
     center: tuple[float, float]
@@ -86,7 +127,7 @@ class TaylorSeries2:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (tri_size(self.order),):
+        if arr.ndim == 0 or arr.shape[-1] != tri_size(self.order):
             raise ValueError(
                 f"order {self.order} needs {tri_size(self.order)} coefficients, "
                 f"got shape {arr.shape}"
@@ -97,6 +138,7 @@ class TaylorSeries2:
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
     def __getitem__(self, ij: Index) -> complex:
+        _require_single(self)
         i, j = ij
         if i < 0 or j < 0 or i + j > self.order:
             raise IndexError(f"({i},{j}) outside triangle of order {self.order}")
@@ -111,9 +153,9 @@ class TaylorSeries2:
         """
         if order == self.order:
             return self
-        out = np.zeros(tri_size(order), dtype=complex)
+        out = np.zeros(self.coeffs.shape[:-1] + (tri_size(order),), dtype=complex)
         n = min(tri_size(order), tri_size(self.order))
-        out[:n] = self.coeffs[:n]
+        out[..., :n] = self.coeffs[..., :n]
         return TaylorSeries2(self.center, order, out)
 
     def _square(self) -> np.ndarray:
@@ -127,7 +169,7 @@ class TaylorSeries2:
         _check_centers(self, other)
         q = min(self.order, other.order)
         n = tri_size(q)
-        return TaylorSeries2(self.center, q, self.coeffs[:n] + other.coeffs[:n])
+        return TaylorSeries2(self.center, q, self.coeffs[..., :n] + other.coeffs[..., :n])
 
     def __sub__(self, other: "TaylorSeries2") -> "TaylorSeries2":
         return self + (-other)
@@ -145,6 +187,7 @@ class TaylorSeries2:
 
     def __call__(self, x, y):
         """Evaluate the Taylor polynomial at points (arrays broadcast)."""
+        _require_single(self)
         dx = np.asarray(x) - self.center[0]
         dy = np.asarray(y) - self.center[1]
         out = np.zeros(np.broadcast(dx, dy).shape, dtype=complex)
@@ -155,6 +198,11 @@ class TaylorSeries2:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
+
+
+def _require_single(a: TaylorSeries2) -> None:
+    if a.coeffs.ndim != 1:
+        raise ValueError(f"needs a single series, got a batch of shape {a.coeffs.shape[:-1]}")
 
 
 def _check_centers(a: TaylorSeries2, b: TaylorSeries2) -> None:
@@ -183,24 +231,30 @@ def ts_mul(a: TaylorSeries2, b: TaylorSeries2, order: int | None = None) -> Tayl
 
     The (i, j) output coefficient is the convolution
     sum_{u<=i, v<=j} a[i-u, j-v] b[u, v]; it only ever touches input
-    coefficients of length <= i + j.
+    coefficients of length <= i + j.  Batch axes broadcast.
     """
     _check_centers(a, b)
     q = min(a.order, b.order) if order is None else order
     if q > min(a.order, b.order):
         raise ValueError(f"truncation order {q} exceeds input orders")
-    aa = a.with_order(q) if a.order != q else a
-    bb = b.with_order(q) if b.order != q else b
-    # Flatten both triangles into one univariate polynomial with row stride
-    # 2q+1; the 1-D convolution then never mixes distinct (i, j) cells.
-    stride = 2 * q + 1
-    fa = np.zeros((q + 1) * stride, dtype=complex)
-    fb = np.zeros_like(fa)
+    toeplitz = _toeplitz_plan(q)
+    n, size = q + 1, tri_size(q)
     ii, jj = _triangle_ij(q)
-    fa[ii * stride + jj] = aa.coeffs
-    fb[ii * stride + jj] = bb.coeffs
-    conv = np.convolve(fa, fb)
-    return TaylorSeries2(a.center, q, conv[ii * stride + jj])
+    asq = np.zeros(a.coeffs.shape[:-1] + (n, n), dtype=complex)
+    asq[..., ii, jj] = a.coeffs[..., :size]
+    fb = np.concatenate([b.coeffs[..., :size], np.zeros(b.coeffs.shape[:-1] + (1,))], axis=-1)
+    # Row u of b shifts every row of a down by u; along j the shift is a
+    # convolution, done as a product with a Toeplitz matrix of that row.
+    # Cells past the triangle pick up garbage and are dropped below.
+    out = asq @ fb[..., toeplitz[0]]
+    for u in range(1, n):
+        m = n - u
+        block = asq[..., :m, :m] @ fb[..., toeplitz[u]]
+        # adding into the strided view of `out` in place would make numpy
+        # buffer both operands; this order needs half the temporaries
+        block += out[..., u:, :m]
+        out[..., u:, :m] = block
+    return TaylorSeries2(a.center, q, out[..., ii, jj])
 
 
 def ts_derive(a: TaylorSeries2, d: Index) -> TaylorSeries2:
@@ -214,13 +268,8 @@ def ts_derive(a: TaylorSeries2, d: Index) -> TaylorSeries2:
         raise ValueError("derivative index must be non-negative")
     if di + dj > a.order:
         raise ValueError(f"derivative order {di + dj} exceeds series order {a.order}")
-    q = a.order - di - dj
-    sq = a._square()
-    wi = np.array([math.comb(i + di, di) for i in range(q + 1)])
-    wj = np.array([math.comb(j + dj, dj) for j in range(q + 1)])
-    shifted = sq[di : di + q + 1, dj : dj + q + 1] * np.outer(wi, wj)
-    ii, jj = _triangle_ij(q)
-    return TaylorSeries2(a.center, q, shifted[ii, jj])
+    src, weight = _derive_plan(a.order, (di, dj))
+    return TaylorSeries2(a.center, a.order - di - dj, a.coeffs[..., src] * weight)
 
 
 def ts_exp(a: TaylorSeries2, order: int | None = None) -> TaylorSeries2:
@@ -229,6 +278,7 @@ def ts_exp(a: TaylorSeries2, order: int | None = None) -> TaylorSeries2:
     Coefficients are propagated through d(exp a) = (da) exp(a) level by
     level, never by naive term-by-term exponentiation.
     """
+    _require_single(a)
     q = a.order if order is None else order
     if q > a.order:
         raise ValueError(f"truncation order {q} exceeds input order {a.order}")

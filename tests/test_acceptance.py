@@ -52,12 +52,10 @@ def _helmholtz(kappa: float) -> OperatorFamily:
 def _single_wave(op, theta: float):
     report = check_hypotheses(op)
     assert report.hyp1 and report.hyp2 is not None and report.hyp2.valid
-    return construct_gpw(
-        op,
-        GpwNormalization(
-            theta=theta, kappa=kappa_from_zeroth(op), factorization=report.hyp2
-        ),
+    norm = GpwNormalization(
+        theta=theta, kappa=kappa_from_zeroth(op), factorization=report.hyp2
     )
+    return construct_gpw(op, [norm])[0]
 
 
 def test_criterion_1_defining_property():

@@ -28,8 +28,10 @@ from gpw.bench import (
     substitution_residual,
     validate_case,
 )
+import gpw.bench
 from gpw.construction import build_basis
 from gpw.interp import assemble_gpw_matrix, taylor_match
+from gpw.operators import HypothesisError
 from gpw.taylor2d import TaylorSeries2, index_of, tri_size, ts_derive, ts_mul, ts_zero
 
 mpmath.mp.dps = 30
@@ -341,6 +343,32 @@ def test_run_convergence_gates_on_validation():
     )
     with pytest.raises(ValueError, match="validation"):
         run_convergence(broken, n=1, q=1, num_centers=2)
+
+
+def test_run_convergence_redraws_only_on_hypothesis_errors(monkeypatch, caplog):
+    case = case_by_name("cs")
+    calls = []
+
+    def first_center_fails(error):
+        def fake(op, p):
+            calls.append(op.center)
+            if len(calls) == 1:
+                raise error
+            return build_basis(op, p)
+        return fake
+
+    hypothesis_failure = HypothesisError("no usable symbol factorization")
+    monkeypatch.setattr(gpw.bench, "build_basis", first_center_fails(hypothesis_failure))
+    with caplog.at_level("WARNING", logger="gpw.bench"):
+        report = run_convergence(case, n=1, q=1, num_centers=2, seed=3)
+    assert len(calls) == 3 and report.errors.shape == report.h.shape
+    assert [r.getMessage().startswith("redrew center") for r in caplog.records] == [True]
+
+    calls.clear()
+    monkeypatch.setattr(gpw.bench, "build_basis", first_center_fails(ValueError("bad argument")))
+    with pytest.raises(ValueError, match="bad argument"):
+        run_convergence(case, n=1, q=1, num_centers=2, seed=3)
+    assert len(calls) == 1
 
 
 def test_reproducibility_bytes():

@@ -51,6 +51,12 @@ def test_construct_respects_theta(capsys):
     assert values[(0, 1)] == pytest.approx(0.0, abs=1e-14)
 
 
+def test_construct_rejects_q_below_one(capsys):
+    assert main(["construct", "--case", "cs", "--q", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "q must be at least 1, got 0" in err
+
+
 # --- validate ------------------------------------------------------------------
 
 
@@ -154,6 +160,14 @@ def test_convergence_missing_n_exits_with_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["convergence", "--case", "cs"])
     assert excinfo.value.code == 2
+
+
+def test_convergence_rejects_p_below_one_before_drawing_centers(capsys, caplog):
+    argv = ["convergence", "--case", "cs", "--n", "2", "--q", "1", "--p", "0", "--centers", "5"]
+    with caplog.at_level("WARNING", logger="gpw.bench"):
+        assert main(argv) == 1
+    assert "p must be positive, got 0" in capsys.readouterr().err
+    assert not [r for r in caplog.records if "redrew" in r.getMessage()]
 
 
 # --- config files ----------------------------------------------------------------

@@ -8,7 +8,9 @@ operator.  The production path never sees either.
 """
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,11 @@ from gpw.construction import (
     pi_weight,
     serialize_gpw,
 )
+from gpw.bench import case_by_name, draw_centers
 from gpw.faa import phase_operator_series_oracle
 from gpw.operators import (
+    HYP1_RTOL,
+    HypothesisError,
     OperatorFamily,
     check_hypotheses,
     principal_symbol_matrix,
@@ -350,7 +355,7 @@ def test_airy_level0_coefficient():
     op = AIRY.instantiate((x0, y0), q=2)
     fact = check_hypotheses(op).hyp2
     norm = GpwNormalization(theta=0.9, kappa=1.7, factorization=fact)
-    gpw = construct_gpw(op, norm)
+    gpw = construct_gpw(op, [norm])[0]
     l10, l01 = gpw.first_order_pair()
     want = (x0 + y0) - 0.5 * (l10**2 + l01**2)
     assert gpw[(2, 0)] == pytest.approx(want, rel=1e-13)
@@ -399,7 +404,7 @@ def test_constructed_residual_with_random_fixed_values():
                 (0, 1): complex(rng.standard_normal(), rng.standard_normal()),
             }
             norm = GpwNormalization(fixed_values={**fixed, **pair})
-            gpw = construct_gpw(op, norm)
+            gpw = construct_gpw(op, [norm])[0]
             for ij, value in {**fixed, **pair}.items():
                 assert gpw[ij] == value
             res = residual_series(op, gpw.phase, q - 1)
@@ -415,7 +420,7 @@ def test_type_changing_operator_with_explicit_pair():
     assert check_hypotheses(op).hyp1
     assert check_hypotheses(op).hyp2 is None
     norm = GpwNormalization(fixed_values={(1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j})
-    gpw = construct_gpw(op, norm)
+    gpw = construct_gpw(op, [norm])[0]
     res = residual_series(op, gpw.phase, 2)
     assert res.max_abs() < 1e-11 * max(1.0, gpw.phase.max_abs())
     with pytest.raises(ValueError):
@@ -426,8 +431,8 @@ def test_solving_level0_only_leaves_longer_cells():
     op = AIRY.instantiate((0.3, 0.4), q=1, coeff_order=2)
     basis_op = AIRY.instantiate((0.3, 0.4), q=1)
     gpw = construct_gpw(
-        basis_op, GpwNormalization(factorization=check_hypotheses(basis_op).hyp2)
-    )
+        basis_op, [GpwNormalization(factorization=check_hypotheses(basis_op).hyp2)]
+    )[0]
     padded = gpw.phase.with_order(3)
     res = residual_series(op, padded, 1)
     assert abs(res[(0, 0)]) < 1e-13
@@ -451,8 +456,8 @@ def test_quadratic_identity_on_first_order_pair():
 def test_counting_matches_solved_coefficients():
     op = MIXED.instantiate((0.2, 0.1), q=3)
     gpw = construct_gpw(
-        op, GpwNormalization(factorization=check_hypotheses(op).hyp2)
-    )
+        op, [GpwNormalization(factorization=check_hypotheses(op).hyp2)]
+    )[0]
     n_dof, n_eqn, n_fixed = dof_counts(2, 3)
     assert tri_size(gpw.degree) == n_dof
     solved = sum(1 for i, j in graded_indices(gpw.degree) if i >= 2)
@@ -496,34 +501,51 @@ def test_normalization_errors():
     op = helmholtz().instantiate((0.0, 0.0), q=2)
     fact = check_hypotheses(op).hyp2
     with pytest.raises(ValueError, match="kappa"):
-        construct_gpw(op, GpwNormalization(kappa=0.0, factorization=fact))
+        construct_gpw(op, [GpwNormalization(kappa=0.0, factorization=fact)])[0]
     with pytest.raises(ValueError, match="factorization"):
-        construct_gpw(op, GpwNormalization())
+        construct_gpw(op, [GpwNormalization()])[0]
     with pytest.raises(ValueError, match="both"):
-        construct_gpw(op, GpwNormalization(fixed_values={(1, 0): 1.0}))
+        construct_gpw(op, [GpwNormalization(fixed_values={(1, 0): 1.0})])[0]
     with pytest.raises(ValueError, match="constant"):
         construct_gpw(
             op,
-            GpwNormalization(factorization=fact, fixed_values={(0, 0): 1.0}),
-        )
+            [GpwNormalization(factorization=fact, fixed_values={(0, 0): 1.0})],
+        )[0]
     with pytest.raises(ValueError, match="solved"):
         construct_gpw(
             op,
-            GpwNormalization(factorization=fact, fixed_values={(2, 0): 1.0}),
-        )
+            [GpwNormalization(factorization=fact, fixed_values={(2, 0): 1.0})],
+        )[0]
     with pytest.raises(ValueError, match="degree"):
         construct_gpw(
             op,
-            GpwNormalization(factorization=fact, fixed_values={(0, 9): 1.0}),
-        )
+            [GpwNormalization(factorization=fact, fixed_values={(0, 9): 1.0})],
+        )[0]
 
 
 def test_vanishing_leading_coefficient_rejected():
     op = PRODUCT.instantiate((0.0, 2.0), q=2)
     with pytest.raises(ValueError, match="leading"):
-        construct_gpw(op, GpwNormalization())
+        construct_gpw(op, [GpwNormalization()])[0]
     with pytest.raises(ValueError, match="leading"):
         build_basis(op, 3)
+
+
+def test_leading_coefficient_threshold_is_hyp1_rtol():
+    # at the threshold both the hypothesis check and the construction refuse;
+    # just above it both accept
+    pair = GpwNormalization(fixed_values={(1, 0): 1j, (0, 1): 0.5j})
+    for factor, accepted in ((1.0, False), (1.0 + 1e-9, True)):
+        lead = HYP1_RTOL * factor
+        op = OperatorFamily(M=2, terms={(2, 0): repr(lead), (0, 2): "1"}).instantiate(
+            (0.0, 0.0), q=2
+        )
+        assert check_hypotheses(op).hyp1 is accepted
+        if accepted:
+            assert construct_gpw(op, [pair])[0].degree == 3
+        else:
+            with pytest.raises(HypothesisError, match="leading"):
+                construct_gpw(op, [pair])
 
 
 def test_build_basis_argument_errors():
@@ -540,8 +562,8 @@ def test_build_basis_argument_errors():
 def test_serialize_parse_roundtrip():
     op = MIXED.instantiate((0.25, -0.75), q=3)
     gpw = construct_gpw(
-        op, GpwNormalization(theta=1.1, factorization=check_hypotheses(op).hyp2)
-    )
+        op, [GpwNormalization(theta=1.1, factorization=check_hypotheses(op).hyp2)]
+    )[0]
     text = serialize_gpw(gpw)
     center, M, q, values = parse_gpw_text(text)
     assert center == gpw.center
@@ -556,11 +578,81 @@ def test_parse_rejects_malformed_text():
         parse_gpw_text("0 0 1.0 0.0\n")
     op = helmholtz().instantiate((0.0, 0.0), q=1)
     gpw = construct_gpw(
-        op, GpwNormalization(factorization=check_hypotheses(op).hyp2)
-    )
+        op, [GpwNormalization(factorization=check_hypotheses(op).hyp2)]
+    )[0]
     text = serialize_gpw(gpw)
     truncated = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(ValueError, match="coefficients"):
         parse_gpw_text(truncated)
     with pytest.raises(ValueError, match="unrecognized"):
         parse_gpw_text(text + "what is this\n")
+
+
+# --- batched construction -------------------------------------------------------
+
+
+def _standard_norms(op, p):
+    fact = check_hypotheses(op).hyp2
+    kappa = kappa_from_zeroth(op)
+    return [
+        GpwNormalization(theta=theta, kappa=kappa, factorization=fact)
+        for theta in basis_angles(p)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, center", [(MIXED, (0.3, -0.6)), (PRODUCT, (1.7, 2.2)), (AIRY, (-0.4, 0.9))]
+)
+def test_batched_construction_matches_single_wave_calls(family, center):
+    op = family.instantiate(center, q=5)
+    norms = _standard_norms(op, 7)
+    norms.append(GpwNormalization(fixed_values={(1, 0): 0.3 + 1j, (0, 1): -0.2j, (0, 3): 0.7}))
+    batch = construct_gpw(op, norms)
+    assert [gpw.normalization for gpw in batch] == norms
+    for gpw, norm in zip(batch, norms):
+        [alone] = construct_gpw(op, [norm])
+        scale = np.max(np.abs(alone.phase.coeffs))
+        np.testing.assert_allclose(gpw.phase.coeffs, alone.phase.coeffs, rtol=0, atol=1e-14 * scale)
+
+
+def test_construct_gpw_needs_a_normalization():
+    op = MIXED.instantiate((0.3, -0.6), q=2)
+    with pytest.raises(ValueError, match="normalization"):
+        construct_gpw(op, [])
+
+
+@pytest.mark.parametrize("q", [8, 12])
+def test_defining_property_at_high_q(q):
+    rng = np.random.default_rng(q)
+    for name in ("Ad", "Jc", "JJ", "cs"):
+        case = case_by_name(name)
+        for center in draw_centers(case, 3, rng):
+            op = case.family.instantiate(center, q=q)
+            basis = build_basis(op, 2 * q + 3)
+            # the whole basis goes through the residual as one batch
+            phases = np.stack([gpw.phase.coeffs for gpw in basis.functions])
+            res = residual_series(op, TaylorSeries2(op.center, q + 1, phases), q - 1)
+            rel = np.max(np.abs(res.coeffs), axis=-1) / np.maximum(
+                1.0, np.max(np.abs(phases), axis=-1)
+            )
+            assert np.max(rel) < 1e-11, (name, center)
+
+
+GOLDEN = Path(__file__).with_name("golden_phases.json")
+
+
+def test_phases_match_per_wave_construction():
+    """Phases recorded from the per-wave construction (one construct_gpw
+    call per direction, full-degree residual at every level, commit
+    35c4dbf): rows 0, p//2 and p-1 of cs and Jc bases at q = 4 and 12."""
+    entries = json.loads(GOLDEN.read_text())["entries"]
+    assert {(e["case"], e["q"]) for e in entries} == {
+        (name, q) for name in ("cs", "Jc") for q in (4, 12)
+    }
+    for entry in entries:
+        op = case_by_name(entry["case"]).family.instantiate(tuple(entry["center"]), q=entry["q"])
+        basis = build_basis(op, entry["p"])
+        for row, flat in zip(entry["rows"], entry["coeffs"]):
+            want = np.array(flat[0::2]) + 1j * np.array(flat[1::2])
+            got = basis.functions[row].phase.coeffs
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))

@@ -433,3 +433,92 @@ def test_scalar_multiply_and_subtract():
     a = ts_from_dict(c, 2, {(1, 0): 1})
     b = ts_from_dict(c, 2, {(1, 0): 3})
     np.testing.assert_allclose((3 * a - b).coeffs, np.zeros(tri_size(2)))
+
+
+# ---------------------------------------------------------------------------
+# batch axis: every batched result equals the row-by-row one
+
+
+@st.composite
+def batched_series(draw, max_order: int = 7):
+    """(order, rows): a (p, tri_size(order)) batch of complex series."""
+    order = draw(st.integers(0, max_order))
+    p = draw(st.integers(1, 4))
+    parts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    flat = draw(st.lists(parts, min_size=2 * p * tri_size(order), max_size=2 * p * tri_size(order)))
+    arr = np.array(flat[0::2]) + 1j * np.array(flat[1::2])
+    return order, arr.reshape(p, tri_size(order))
+
+
+C0 = (0.5, -0.25)
+
+
+def _rows(order, arr):
+    return [TaylorSeries2(C0, order, row) for row in arr]
+
+
+@given(batched_series(), batched_series(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batched_mul_matches_rows(a, b, data):
+    (qa, arr_a), (qb, arr_b) = a, b
+    p = min(len(arr_a), len(arr_b))
+    arr_a, arr_b = arr_a[:p], arr_b[:p]
+    order = data.draw(st.integers(0, min(qa, qb)))
+    A, B = TaylorSeries2(C0, qa, arr_a), TaylorSeries2(C0, qb, arr_b)
+    single = TaylorSeries2(C0, qa, arr_a[0])
+    got = ts_mul(A, B, order=order)
+    assert got.coeffs.shape == (p, tri_size(order))
+    for r, (ra, rb) in enumerate(zip(_rows(qa, arr_a), _rows(qb, arr_b))):
+        want = ts_mul(ra, rb, order=order).coeffs
+        np.testing.assert_allclose(got.coeffs[r], want, rtol=1e-13, atol=1e-12)
+        # an unbatched series broadcasts against a batch, on either side
+        want = ts_mul(single, rb, order=order).coeffs
+        np.testing.assert_allclose(ts_mul(single, B, order=order).coeffs[r], want, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(ts_mul(B, single, order=order).coeffs[r], want, rtol=1e-13, atol=1e-12)
+
+
+@given(batched_series(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batched_derive_matches_rows(a, data):
+    order, arr = a
+    di = data.draw(st.integers(0, order))
+    d = (di, data.draw(st.integers(0, order - di)))
+    got = ts_derive(TaylorSeries2(C0, order, arr), d)
+    for r, row in enumerate(_rows(order, arr)):
+        np.testing.assert_array_equal(got.coeffs[r], ts_derive(row, d).coeffs)
+
+
+@given(batched_series(), st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_batched_with_order_matches_rows(a, new_order):
+    order, arr = a
+    got = TaylorSeries2(C0, order, arr).with_order(new_order)
+    for r, row in enumerate(_rows(order, arr)):
+        np.testing.assert_array_equal(got.coeffs[r], row.with_order(new_order).coeffs)
+
+
+@given(batched_series(), batched_series())
+@settings(max_examples=60, deadline=None)
+def test_batched_add_sub_match_rows(a, b):
+    (qa, arr_a), (qb, arr_b) = a, b
+    p = min(len(arr_a), len(arr_b))
+    A = TaylorSeries2(C0, qa, arr_a[:p])
+    B = TaylorSeries2(C0, qb, arr_b[:p])
+    single = TaylorSeries2(C0, qb, arr_b[0])
+    for r, (ra, rb) in enumerate(zip(_rows(qa, arr_a[:p]), _rows(qb, arr_b[:p]))):
+        np.testing.assert_array_equal((A + B).coeffs[r], (ra + rb).coeffs)
+        np.testing.assert_array_equal((A - B).coeffs[r], (ra - rb).coeffs)
+        np.testing.assert_array_equal((A + single).coeffs[r], (ra + single).coeffs)
+        np.testing.assert_array_equal((single - A).coeffs[r], (single - ra).coeffs)
+
+
+def test_single_series_operations_reject_batches():
+    batch = TaylorSeries2(C0, 2, np.zeros((3, tri_size(2))))
+    with pytest.raises(ValueError, match="single series"):
+        batch[(0, 0)]
+    with pytest.raises(ValueError, match="single series"):
+        batch(0.0, 0.0)
+    with pytest.raises(ValueError, match="single series"):
+        ts_exp(batch)
+    with pytest.raises(ValueError):
+        TaylorSeries2(C0, 2, np.zeros((3, tri_size(2) + 1)))
