@@ -467,8 +467,9 @@ def run_convergence(
             continue
         F = exact_solution_taylor(case, center, n)
         mat = assemble_gpw_matrix(basis, n)
-        xs = np.concatenate([disk_points(center, hv)[0] for hv in h])
-        ys = np.concatenate([disk_points(center, hv)[1] for hv in h])
+        disks = [disk_points(center, hv) for hv in h]
+        xs = np.concatenate([disk[0] for disk in disks])
+        ys = np.concatenate([disk[1] for disk in disks])
         exact = case.values(center, xs, ys)
         members = np.column_stack(
             [np.exp(fn.phase(xs, ys)) for fn in basis.functions]

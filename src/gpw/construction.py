@@ -114,13 +114,10 @@ class GpwNormalization:
         if self.kappa == 0:
             raise ValueError("kappa must be nonzero")
         direction = np.array([math.cos(self.theta), math.sin(self.theta)], dtype=complex)
-        vec = (
-            1j
-            * self.kappa
-            * np.linalg.inv(self.factorization.A)
-            @ self.factorization.inverse_sqrt_D()
-            @ direction
-        )
+        inv_A, inv_sqrt_D = self.factorization.direction_factors
+        # ((i kappa A^-1) D^-1/2) direction, grouped as always: folding
+        # i kappa into a cached A^-1 D^-1/2 would move the last bits
+        vec = 1j * self.kappa * inv_A @ inv_sqrt_D @ direction
         return complex(vec[0]), complex(vec[1])
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gpw.construction import GpwBasis
-from gpw.taylor2d import index_of, indices, tri_size, ts_exp
+from gpw.taylor2d import TaylorSeries2, index_of, indices, tri_size, ts_exp
 
 MATRIX_KINDS = ("gpw", "reference", "classical", "transition")
 
@@ -61,9 +61,10 @@ class TaylorMatrix:
 def assemble_gpw_matrix(basis: GpwBasis, n: int) -> TaylorMatrix:
     """Columns are the order-n coefficient vectors of exp(phase_l).
 
-    Phases of degree below n are zero-padded (exact: they are polynomials)
-    before exponentiating.  Matching theory wants q >= n - 1; below that the
-    matrix still assembles but loses its range guarantee, so warn.
+    Phases of degree below n are zero-padded (exact: they are polynomials);
+    all p phases are exponentiated in one batched ts_exp call.  Matching
+    theory wants q >= n - 1; below that the matrix still assembles but loses
+    its range guarantee, so warn.
     """
     if basis.operator.q < n - 1:
         warnings.warn(
@@ -71,11 +72,10 @@ def assemble_gpw_matrix(basis: GpwBasis, n: int) -> TaylorMatrix:
             "matching is not guaranteed to reach order n",
             stacklevel=2,
         )
-    cols = []
-    for gpw in basis.functions:
-        phase = gpw.phase if gpw.phase.order >= n else gpw.phase.with_order(n)
-        cols.append(ts_exp(phase, order=n).coeffs)
-    return TaylorMatrix(n=n, kind="gpw", entries=np.column_stack(cols))
+    order = max([n] + [gpw.degree for gpw in basis.functions])
+    phases = np.stack([gpw.phase.with_order(order).coeffs for gpw in basis.functions])
+    waves = ts_exp(TaylorSeries2(basis.operator.center, order, phases), order=n)
+    return TaylorMatrix(n=n, kind="gpw", entries=np.ascontiguousarray(waves.coeffs.T))
 
 
 def assemble_reference_matrix(
@@ -170,20 +170,6 @@ def taylor_match(
     return TaylorMatch(coefficients=X, residual=residual)
 
 
-def horner_eval(series, point) -> complex:
-    """Evaluate a coefficient series as a polynomial in (x-x0, y-y0),
-    Horner in x outside, Horner in y inside."""
-    dx = point[0] - series.center[0]
-    dy = point[1] - series.center[1]
-    total = 0j
-    for i in range(series.order, -1, -1):
-        inner = 0j
-        for j in range(series.order - i, -1, -1):
-            inner = inner * dy + series[(i, j)]
-        total = total * dx + inner
-    return total
-
-
 def evaluate_combination(basis: GpwBasis, X, point) -> complex:
     """Value of sum_l X_l exp(P_l) at the point."""
     X = np.asarray(X, dtype=complex).ravel()
@@ -192,5 +178,5 @@ def evaluate_combination(basis: GpwBasis, X, point) -> complex:
     total = 0j
     for x_l, gpw in zip(X, basis.functions):
         if x_l != 0:
-            total += x_l * cmath.exp(horner_eval(gpw.phase, point))
+            total += x_l * cmath.exp(gpw.phase(*point))
     return total

@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,12 @@ class SymbolFactorization:
         if not self.valid:
             raise ValueError("factorization is degenerate")
         return np.diag([1 / principal_sqrt(self.D[0, 0]), 1 / principal_sqrt(self.D[1, 1])])
+
+    @cached_property
+    def direction_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A^-1, D^-1/2), computed once: every direction of a basis maps
+        through the same factorization."""
+        return np.linalg.inv(self.A), self.inverse_sqrt_D()
 
 
 @dataclass(frozen=True)

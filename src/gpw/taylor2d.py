@@ -15,8 +15,8 @@ A series may also carry a batch of such triangles: coefficients of shape
 (..., tri_size(order)), one row per series.  Products, derivatives,
 truncation, sums and differences act on the last axis and broadcast an
 unbatched series against a batched one, so a whole basis of phases goes
-through the residual recurrence in one pass.  Indexing, evaluation and
-ts_exp take a single series.
+through the residual recurrence in one pass, and ts_exp exponentiates a
+whole batch at once.  Indexing and evaluation take a single series.
 
 Multi-indices additionally carry a strict total order: shorter first, ties
 broken by the smaller x-component.  Equal-length indices of the form
@@ -158,13 +158,6 @@ class TaylorSeries2:
         out[..., :n] = self.coeffs[..., :n]
         return TaylorSeries2(self.center, order, out)
 
-    def _square(self) -> np.ndarray:
-        n = self.order + 1
-        sq = np.zeros((n, n), dtype=complex)
-        ii, jj = _triangle_ij(self.order)
-        sq[ii, jj] = self.coeffs
-        return sq
-
     def __add__(self, other: "TaylorSeries2") -> "TaylorSeries2":
         _check_centers(self, other)
         q = min(self.order, other.order)
@@ -186,14 +179,26 @@ class TaylorSeries2:
         return self.__mul__(other)
 
     def __call__(self, x, y):
-        """Evaluate the Taylor polynomial at points (arrays broadcast)."""
+        """Evaluate the Taylor polynomial at points (arrays broadcast).
+
+        Horner in X = x - x0 outside, Horner in Y = y - y0 inside, each step
+        one in-place multiply-add over all points.  At the center itself
+        every step multiplies by zero, so the result is c[0, 0] exactly.
+        """
         _require_single(self)
         dx = np.asarray(x) - self.center[0]
         dy = np.asarray(y) - self.center[1]
-        out = np.zeros(np.broadcast(dx, dy).shape, dtype=complex)
-        for (i, j), c in zip(indices(self.order), self.coeffs):
-            if c != 0:
-                out = out + c * dx**i * dy**j
+        shape = np.broadcast_shapes(dx.shape, dy.shape)
+        q, c = self.order, self.coeffs.tolist()
+        out = np.full(shape, c[index_of(q, 0)], dtype=complex)
+        inner = np.empty(shape, dtype=complex)
+        for i in range(q - 1, -1, -1):
+            inner.fill(c[index_of(i, q - i)])
+            for j in range(q - i - 1, -1, -1):
+                inner *= dy
+                inner += c[index_of(i, j)]
+            out *= dx
+            out += inner
         return out if out.shape else complex(out)
 
     def max_abs(self) -> float:
@@ -276,30 +281,36 @@ def ts_exp(a: TaylorSeries2, order: int | None = None) -> TaylorSeries2:
     """exp of a series with zero constant term, truncated at `order`.
 
     Coefficients are propagated through d(exp a) = (da) exp(a) level by
-    level, never by naive term-by-term exponentiation.
+    level, never by naive term-by-term exponentiation.  A batch is
+    exponentiated row by row in one pass, the batch axes leading.
     """
-    _require_single(a)
     q = a.order if order is None else order
     if q > a.order:
         raise ValueError(f"truncation order {q} exceeds input order {a.order}")
-    if a.coeffs[0] != 0:
-        raise ValueError("nonzero constant term; exp propagation needs a(center) = 0")
-    asq = a.with_order(q)._square() if a.order != q else a._square()
-    # unscaled x/y-derivative coefficient tables of a
-    dxa = asq[1:, :] * np.arange(1, q + 1)[:, None]
-    dya = asq[:, 1:] * np.arange(1, q + 1)[None, :]
-    g = np.zeros((q + 1, q + 1), dtype=complex)
-    g[0, 0] = 1.0
+    const = a.coeffs[..., 0]
+    if np.any(const):
+        row = "" if const.ndim == 0 else f" in row {', '.join(map(str, np.argwhere(const)[0]))}"
+        raise ValueError(f"nonzero constant term{row}; exp propagation needs a(center) = 0")
+    batch = a.coeffs.shape[:-1]
+    ii, jj = _triangle_ij(q)
+    asq = np.zeros(batch + (q + 1, q + 1), dtype=complex)
+    asq[..., ii, jj] = a.coeffs[..., : tri_size(q)]
+    # unscaled x-derivative coefficient table of a, and the y-derivative
+    # of its x^0 row (the only one the j-recurrence at i = 0 reads)
+    dxa = asq[..., 1:, :] * np.arange(1, q + 1)[:, None]
+    dya = asq[..., 0, 1:] * np.arange(1, q + 1)
+    g = np.zeros(batch + (q + 1, q + 1), dtype=complex)
+    g[..., 0, 0] = 1.0
     for s in range(1, q + 1):
         for j in range(s + 1):
             i = s - j
             if i >= 1:
                 # i * g[i,j] = sum_{u<i, v<=j} dxa[u,v] g[i-1-u, j-v]
-                g[i, j] = np.sum(dxa[:i, : j + 1] * g[i - 1 :: -1, j::-1]) / i
+                terms = dxa[..., :i, : j + 1] * g[..., i - 1 :: -1, j::-1]
+                g[..., i, j] = np.sum(terms, axis=(-2, -1)) / i
             else:
-                g[0, j] = np.sum(dya[0, :j] * g[0, j - 1 :: -1]) / j
-    ii, jj = _triangle_ij(q)
-    return TaylorSeries2(a.center, q, g[ii, jj])
+                g[..., 0, j] = np.sum(dya[..., :j] * g[..., 0, j - 1 :: -1], axis=-1) / j
+    return TaylorSeries2(a.center, q, g[..., ii, jj])
 
 
 # -- elementary generators used to author coefficient fields -----------------

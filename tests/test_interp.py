@@ -18,13 +18,13 @@ from gpw.interp import (
     assemble_gpw_matrix,
     assemble_reference_matrix,
     evaluate_combination,
-    horner_eval,
     numeric_rank,
     taylor_match,
 )
 from gpw.operators import OperatorFamily
 from gpw.special import airy_derivative_stack
 from gpw.taylor2d import TaylorSeries2, index_of, indices, tri_size, ts_exp
+from series_oracles import term_magnitude, term_sum
 
 AIRY = OperatorFamily(
     M=2,
@@ -317,9 +317,24 @@ def test_horner_matches_term_summation():
     series = TaylorSeries2((0.4, -0.2), 4, arr)
     for _ in range(20):
         x, y = rng.uniform(-1, 1, size=2)
-        assert horner_eval(series, (x, y)) == pytest.approx(
-            series(x, y), rel=1e-13, abs=1e-13
-        )
+        got = series(x, y)
+        assert isinstance(got, complex)
+        assert abs(got - term_sum(series, x, y)) <= 1e-13 * term_magnitude(series, x, y)
+
+
+def test_gpw_matrix_columns_are_per_wave_exponentials():
+    # one batched ts_exp per basis gives the per-wave columns bit for bit,
+    # with the phases truncated (q=4, n=3) or zero-padded (q=1, n=3)
+    for q in (4, 1):
+        basis = build_basis(TRIG.instantiate((0.2, -0.4), q=q), 9)
+        if q >= 2:
+            mat = assemble_gpw_matrix(basis, 3)
+        else:
+            with pytest.warns(UserWarning, match="not guaranteed"):
+                mat = assemble_gpw_matrix(basis, 3)
+        for col, gpw in enumerate(basis.functions):
+            phase = gpw.phase if gpw.phase.order >= 3 else gpw.phase.with_order(3)
+            np.testing.assert_array_equal(mat.entries[:, col], ts_exp(phase, order=3).coeffs)
 
 
 def test_evaluate_combination_trivial_values():

@@ -26,6 +26,7 @@ from gpw.taylor2d import (
     ts_sin,
     ts_zero,
 )
+from series_oracles import term_magnitude, term_sum
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -518,7 +519,76 @@ def test_single_series_operations_reject_batches():
         batch[(0, 0)]
     with pytest.raises(ValueError, match="single series"):
         batch(0.0, 0.0)
-    with pytest.raises(ValueError, match="single series"):
-        ts_exp(batch)
     with pytest.raises(ValueError):
         TaylorSeries2(C0, 2, np.zeros((3, tri_size(2) + 1)))
+
+
+@given(batched_series(), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_batched_exp_matches_rows(a, drop):
+    order, arr = a
+    arr = arr.copy()
+    arr[:, 0] = 0.0
+    q = max(order - drop, 0)
+    got = ts_exp(TaylorSeries2(C0, order, arr), order=q)
+    assert got.coeffs.shape == (len(arr), tri_size(q))
+    for r, row in enumerate(_rows(order, arr)):
+        np.testing.assert_array_equal(got.coeffs[r], ts_exp(row, order=q).coeffs)
+
+
+def test_batched_exp_names_the_row_with_a_constant_term():
+    arr = np.zeros((4, tri_size(3)), dtype=complex)
+    arr[2, 0] = 0.5
+    with pytest.raises(ValueError, match="nonzero constant term in row 2;"):
+        ts_exp(TaylorSeries2(C0, 3, arr))
+    grid = np.zeros((2, 3, tri_size(3)), dtype=complex)
+    grid[1, 0, 0] = 1e-300
+    with pytest.raises(ValueError, match="nonzero constant term in row 1, 0;"):
+        ts_exp(TaylorSeries2(C0, 3, grid))
+
+
+# ---------------------------------------------------------------------------
+# evaluation: Horner against the term-by-term sum
+
+
+@st.composite
+def series_and_points(draw):
+    """(series, x, y): a single series of order 0..17 and points given as
+    scalars, equal-shape arrays, or a column against a row (broadcast)."""
+    order = draw(st.integers(0, 17))
+    parts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    flat = draw(st.lists(parts, min_size=2 * tri_size(order), max_size=2 * tri_size(order)))
+    center = tuple(draw(st.floats(min_value=-3.0, max_value=3.0)) for _ in range(2))
+    series = TaylorSeries2(center, order, np.array(flat[0::2]) + 1j * np.array(flat[1::2]))
+    offset = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
+    kind = draw(st.sampled_from(["scalar", "array", "broadcast"]))
+    if kind == "scalar":
+        return series, center[0] + draw(offset), center[1] + draw(offset)
+    n = draw(st.integers(1, 6))
+    dx = np.array(draw(st.lists(offset, min_size=n, max_size=n)))
+    if kind == "array":
+        dy = np.array(draw(st.lists(offset, min_size=n, max_size=n)))
+    else:
+        dx = dx[:, None]
+        dy = np.array(draw(st.lists(offset, min_size=1, max_size=5)))
+    return series, center[0] + dx, center[1] + dy
+
+
+@given(series_and_points())
+@settings(max_examples=100, deadline=None)
+def test_horner_evaluation_matches_term_sum(case):
+    series, x, y = case
+    got = series(x, y)
+    want = term_sum(series, x, y)
+    if np.ndim(x) == 0:
+        assert isinstance(got, complex)
+    else:
+        assert got.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
+    # both orders of summation round within a few hundred ulps of the sum
+    # of term magnitudes at order 17 (171 terms)
+    bound = 1e-13 * term_magnitude(series, x, y) + np.finfo(float).tiny
+    assert np.all(np.abs(got - want) <= bound)
+    # the center itself returns the constant coefficient exactly
+    cx, cy = series.center
+    assert series(cx, cy) == series.coeffs[0]
+    assert series(np.array([cx, cx + 0.5]), cy)[0] == series.coeffs[0]
