@@ -15,9 +15,8 @@ import argparse
 import sys
 import warnings
 
-from gpw.bench import case_by_name, emit_report, run_convergence
+from gpw.bench import CASE_NAMES, case_by_name, emit_report, run_convergence
 
-CASES = ("Ad", "Jc", "JJ", "cs")
 ORDERS = (1, 2, 3, 4, 5)
 TANGENCIES = (1, 2, 3, 4)
 
@@ -25,7 +24,7 @@ TANGENCIES = (1, 2, 3, 4)
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--case", choices=CASES, action="append",
+        "--case", choices=CASE_NAMES, action="append",
         help="repeatable; default: all four cases",
     )
     parser.add_argument("--centers", type=int, default=50)
@@ -35,7 +34,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     reports = []
-    for name in args.case or CASES:
+    for name in args.case or CASE_NAMES:
         case = case_by_name(name)
         print(
             f"case {name}: fitted order, {args.centers} centers, "

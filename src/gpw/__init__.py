@@ -1,9 +1,10 @@
-"""Generalized plane wave bases for variable-coefficient PDE operators."""
+"""Generalized plane wave bases for variable-coefficient PDE operators.
+
+Names not exported here stay importable from their submodules.
+"""
 
 from gpw.bench import (
-    CaseValidation,
     ConvergenceReport,
-    OrderEstimate,
     TestCase,
     builtin_cases,
     case_by_name,
@@ -14,7 +15,6 @@ from gpw.bench import (
     exact_solution_taylor,
     read_report_csv,
     run_convergence,
-    substitution_residual,
     validate_case,
 )
 from gpw.construction import (
@@ -24,145 +24,74 @@ from gpw.construction import (
     basis_angles,
     build_basis,
     construct_gpw,
-    dof_counts,
     kappa_from_zeroth,
-    level_matrix,
-    level_rhs,
     parse_gpw_text,
-    pi_weight,
     serialize_gpw,
-)
-from gpw.faa import (
-    Partition,
-    enumerate_partitions,
-    faa_di_bruno_exp_derivative,
-    phase_operator_series_oracle,
 )
 from gpw.interp import (
     TaylorMatch,
     TaylorMatrix,
     assemble_gpw_matrix,
     assemble_reference_matrix,
-    evaluate_combination,
     numeric_rank,
     taylor_match,
 )
 from gpw.operators import (
     HypothesisError,
-    HypothesisReport,
     OperatorFamily,
     PdeOperator,
-    SymbolFactorization,
     apply_phase_operator,
     check_hypotheses,
-    factor_principal_symbol,
-    parse_coefficient,
-    principal_sqrt,
-    principal_symbol_matrix,
     residual_series,
-)
-from gpw.special import (
-    airy_derivative_stack,
-    airy_seed,
-    bessel_derivative_stack,
-    bessel_seed,
-    evaluate_from_stack,
 )
 from gpw.taylor2d import (
     TaylorSeries2,
-    graded_indices,
-    index_of,
-    indices,
-    mi_compare,
-    mi_sort_key,
     tri_size,
-    ts_affine,
-    ts_constant,
-    ts_coordinate,
-    ts_cos,
     ts_derive,
     ts_exp,
     ts_from_dict,
     ts_mul,
-    ts_power,
-    ts_sin,
-    ts_zero,
 )
 
 __all__ = [
-    "CaseValidation",
     "ConvergenceReport",
     "GpwBasis",
     "GpwNormalization",
     "GpwPolynomial",
     "HypothesisError",
-    "HypothesisReport",
     "OperatorFamily",
-    "OrderEstimate",
-    "Partition",
     "PdeOperator",
-    "SymbolFactorization",
     "TaylorMatch",
     "TaylorMatrix",
     "TaylorSeries2",
     "TestCase",
-    "airy_derivative_stack",
-    "airy_seed",
     "apply_phase_operator",
     "assemble_gpw_matrix",
     "assemble_reference_matrix",
     "basis_angles",
-    "bessel_derivative_stack",
-    "bessel_seed",
     "build_basis",
     "builtin_cases",
     "case_by_name",
     "check_hypotheses",
     "construct_gpw",
     "disk_points",
-    "dof_counts",
     "draw_centers",
     "emit_report",
-    "enumerate_partitions",
     "estimate_order",
-    "evaluate_combination",
-    "evaluate_from_stack",
     "exact_solution_taylor",
-    "faa_di_bruno_exp_derivative",
-    "factor_principal_symbol",
-    "graded_indices",
-    "index_of",
-    "indices",
     "kappa_from_zeroth",
-    "level_matrix",
-    "level_rhs",
-    "mi_compare",
-    "mi_sort_key",
     "numeric_rank",
-    "parse_coefficient",
     "parse_gpw_text",
-    "phase_operator_series_oracle",
-    "pi_weight",
-    "principal_sqrt",
-    "principal_symbol_matrix",
     "read_report_csv",
     "residual_series",
     "run_convergence",
     "serialize_gpw",
-    "substitution_residual",
     "taylor_match",
     "tri_size",
-    "ts_affine",
-    "ts_constant",
-    "ts_coordinate",
-    "ts_cos",
     "ts_derive",
     "ts_exp",
     "ts_from_dict",
     "ts_mul",
-    "ts_power",
-    "ts_sin",
-    "ts_zero",
     "validate_case",
 ]
 

@@ -45,6 +45,9 @@ STAGNATION_RATIO = 0.5
 # clearance before a point counts as genuine decay.
 FLOOR_CLEARANCE = 100.0
 
+MIN_H_VALUES = 4  # fewest radii an order can be fitted through
+
+CASE_NAMES = ("Ad", "Jc", "JJ", "cs")  # builtin_cases(), in order
 CSV_HEADER = "case,n,q,p,seed,h,max_err,slope,floor"
 
 Domain = tuple[float, float, float, float]  # x_lo, x_hi, y_lo, y_hi
@@ -225,7 +228,7 @@ def case_by_name(name: str) -> TestCase:
     for case in builtin_cases():
         if case.name == name:
             return case
-    raise KeyError(f"unknown case {name!r}; choose from Ad, Jc, JJ, cs")
+    raise KeyError(f"unknown case {name!r}; choose from {', '.join(CASE_NAMES)}")
 
 
 def exact_solution_taylor(case: TestCase, center: tuple[float, float], n: int) -> np.ndarray:
@@ -405,10 +408,16 @@ def _slope_and_floor(h: np.ndarray, errors: np.ndarray) -> tuple[float, float]:
     return float(slope), floor
 
 
+def _require_fit_grid(h: np.ndarray) -> None:
+    if h.size < MIN_H_VALUES:
+        raise ValueError(
+            f"need at least {MIN_H_VALUES} h values to estimate an order, got {h.size}"
+        )
+
+
 def estimate_order(report: ConvergenceReport) -> OrderEstimate:
     """Fitted log-log slope over the pre-stagnation window, plus the floor."""
-    if report.h.size < 4:
-        raise ValueError("need at least 4 h values to estimate an order")
+    _require_fit_grid(report.h)
     slope, floor = _slope_and_floor(report.h, report.errors)
     return OrderEstimate(slope=slope, floor=floor)
 
@@ -435,6 +444,10 @@ def run_convergence(
     aggregation: the sampled max over the disk of radius h includes all
     smaller sampled disks.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if num_centers < 1:
+        raise ValueError(f"number of centers must be at least 1, got {num_centers}")
     if p is None:
         p = 2 * n + 1
     if p < 1:
@@ -442,6 +455,7 @@ def run_convergence(
     h = np.asarray(DEFAULT_H_GRID if h_grid is None else h_grid, dtype=float)
     if h.size and not np.all(np.diff(h) < 0):
         raise ValueError("h grid must be strictly decreasing")
+    _require_fit_grid(h)
     validation = validate_case(case)
     if not validation.passed:
         raise ValueError(

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bench import (
+    CASE_NAMES,
     builtin_cases,
     case_by_name,
     draw_centers,
@@ -46,7 +47,6 @@ from .construction import (
 from .interp import assemble_gpw_matrix, assemble_reference_matrix, numeric_rank
 from .operators import HypothesisError, check_hypotheses
 
-CASE_NAMES = ("Ad", "Jc", "JJ", "cs")
 FORMAT_NAMES = ("csv", "plotdata")
 
 
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser(
         "rank-study", help="numeric rank of the matching matrices vs p"
     )
-    rank.add_argument("--case", choices=CASE_NAMES, required=True)
+    rank.add_argument("--case", choices=CASE_NAMES, help="one case (default: all four)")
     rank.add_argument("--n", type=int, help="matching order (default: 1..4)")
     rank.add_argument(
         "--p", type=int, help="basis size (default: 2n-1, 2n, 2n+1, 2n+2)"
@@ -242,32 +242,46 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_rank_study(args: argparse.Namespace) -> int:
-    case = case_by_name(args.case)
-    rng = np.random.default_rng(args.seed)
-    centers = draw_centers(case, args.centers, rng)
+    """Exit status 1 unless, in every cell, the reference rank is full
+    (2n+1) exactly when p >= 2n+1 and every wave rank equals it."""
+    cases = [case_by_name(args.case)] if args.case else builtin_cases()
     orders = [args.n] if args.n is not None else [1, 2, 3, 4]
-    lines = [
-        f"case {case.name}: numeric ranks at {len(centers)} centers, seed {args.seed}",
-        " n   p  reference  gpw  full rank (2n+1)",
-    ]
-    for n in orders:
-        sizes = [args.p] if args.p is not None else [2 * n - 1, 2 * n, 2 * n + 1, 2 * n + 2]
-        for p in sizes:
-            reference = numeric_rank(assemble_reference_matrix(basis_angles(p), n))
-            ranks = set()
-            for center in centers:
-                op = case.family.instantiate(center, q=max(1, n - 1))
-                basis = build_basis(op, p)
-                ranks.add(numeric_rank(assemble_gpw_matrix(basis, n)))
-            observed = "/".join(str(r) for r in sorted(ranks))
-            lines.append(f"{n:2d} {p:3d} {reference:10d} {observed:>4}  {2 * n + 1:d}")
+    lines: list[str] = []
+    failed: list[str] = []
+    for case in cases:
+        rng = np.random.default_rng(args.seed)
+        centers = draw_centers(case, args.centers, rng)
+        lines += [
+            f"case {case.name}: numeric ranks at {len(centers)} centers, seed {args.seed}",
+            " n   p  reference  gpw  full rank (2n+1)",
+        ]
+        for n in orders:
+            sizes = [args.p] if args.p is not None else [2 * n - 1, 2 * n, 2 * n + 1, 2 * n + 2]
+            for p in sizes:
+                reference = numeric_rank(assemble_reference_matrix(basis_angles(p), n))
+                ranks = set()
+                for center in centers:
+                    op = case.family.instantiate(center, q=max(1, n - 1))
+                    basis = build_basis(op, p)
+                    ranks.add(numeric_rank(assemble_gpw_matrix(basis, n)))
+                observed = "/".join(str(r) for r in sorted(ranks))
+                lines.append(f"{n:2d} {p:3d} {reference:10d} {observed:>4}  {2 * n + 1:d}")
+                if (reference == 2 * n + 1) != (p >= 2 * n + 1) or ranks != {reference}:
+                    failed.append(f"{case.name} n={n} p={p}")
     _write("\n".join(lines) + "\n", args.out)
+    if failed:
+        print(f"error: rank characterization fails at {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     case = case_by_name(args.case)
     q = args.q if args.q is not None else max(1, args.n - 1)
+    if not args.hmin > 0:
+        raise ValueError(f"hmin must be positive, got {args.hmin}")
+    if not args.hmax > args.hmin:
+        raise ValueError(f"hmax must exceed hmin, got hmax {args.hmax}, hmin {args.hmin}")
     h_grid = np.logspace(math.log10(args.hmax), math.log10(args.hmin), args.hcount)
     report = run_convergence(
         case,

@@ -22,10 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from gpw.operators import (
-    HYP1_RTOL,
     HypothesisError,
     PdeOperator,
     SymbolFactorization,
+    _hyp1_holds,
     check_hypotheses,
     principal_sqrt,
     residual_series,
@@ -71,20 +71,6 @@ def level_matrix(op: PdeOperator, L: int) -> np.ndarray:
         for k in range(M + 1):
             T[M + I, I + k] = pi_weight(k, I, M, L) * op.coefficient_at_center(k, M - k)
     return T
-
-
-def level_rhs(op: PdeOperator, phase: TaylorSeries2, L: int) -> np.ndarray:
-    """Right-hand side of level L, independent of every coefficient of
-    length >= M + L: those are zeroed internally before the residual is
-    taken, so the result depends only on the already-solved layers.
-    """
-    if phase.order < L + op.M:
-        raise ValueError(f"phase order {phase.order} < {L + op.M}")
-    arr = np.array(phase.coeffs)
-    arr[tri_size(op.M + L - 1):] = 0.0
-    cleared = TaylorSeries2(phase.center, phase.order, arr)
-    res = residual_series(op, cleared, L)
-    return np.array([-res[(I, L - I)] for I in range(L + 1)])
 
 
 @dataclass(frozen=True)
@@ -159,11 +145,7 @@ def construct_gpw(
     norms = list(norms)
     if not norms:
         raise ValueError("need at least one normalization")
-    pivot = op.principal_at_center()
-    largest = max(
-        (abs(op.coefficient_at_center(k, l)) for (k, l) in op.coeffs), default=0.0
-    )
-    if largest == 0 or abs(pivot) <= HYP1_RTOL * largest:
+    if not _hyp1_holds(op):
         raise HypothesisError("leading coefficient vanishes at the center")
 
     arr = np.zeros((len(norms), tri_size(degree)), dtype=complex)

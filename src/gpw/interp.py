@@ -2,15 +2,13 @@
 
 Stacking the scaled Taylor coefficients of each basis function up to order n
 as a column gives a dense matrix whose range decides what local solution data
-the basis can reproduce.  Companion matrices built from plane-wave angles
-(reference, classical) and from the first-order exponents alone (transition)
-carry the rank analysis; the matching solve itself is a minimum-norm least
+the basis can reproduce.  The reference matrix built from plane-wave angles
+carries the rank analysis; the matching solve itself is a minimum-norm least
 squares against the exact solution's coefficient vector.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,8 +17,6 @@ import numpy as np
 
 from gpw.construction import GpwBasis
 from gpw.taylor2d import TaylorSeries2, index_of, indices, tri_size, ts_exp
-
-MATRIX_KINDS = ("gpw", "reference", "classical", "transition")
 
 
 @dataclass(frozen=True)
@@ -32,12 +28,9 @@ class TaylorMatrix:
     """
 
     n: int
-    kind: str
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
         entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != tri_size(self.n):
             raise ValueError(
@@ -75,45 +68,24 @@ def assemble_gpw_matrix(basis: GpwBasis, n: int) -> TaylorMatrix:
     order = max([n] + [gpw.degree for gpw in basis.functions])
     phases = np.stack([gpw.phase.with_order(order).coeffs for gpw in basis.functions])
     waves = ts_exp(TaylorSeries2(basis.operator.center, order, phases), order=n)
-    return TaylorMatrix(n=n, kind="gpw", entries=np.ascontiguousarray(waves.coeffs.T))
+    return TaylorMatrix(n=n, entries=np.ascontiguousarray(waves.coeffs.T))
 
 
-def assemble_reference_matrix(
-    angles,
-    n: int,
-    kind: str = "reference",
-    kappa: complex | None = None,
-    pairs=None,
-) -> TaylorMatrix:
-    """Closed-form companion matrices.
-
-    reference: cos^k1(theta_l) sin^k2(theta_l) / (k1! k2!)
-    classical: the same times (i kappa)^(k1+k2)
-    transition: (l10_l)^k1 (l01_l)^k2 / (k1! k2!) from explicit first-order
-    pairs (angles are ignored for this kind)
+def assemble_reference_matrix(angles, n: int) -> TaylorMatrix:
+    """Closed-form reference matrix: row (k1, k2), column l is
+    cos^k1(theta_l) sin^k2(theta_l) / (k1! k2!).
     """
-    if kind not in ("reference", "classical", "transition"):
-        raise ValueError(f"unknown companion kind {kind!r}")
-    if kind == "transition":
-        if pairs is None:
-            raise ValueError("transition kind needs the first-order pairs")
-        columns = [(complex(a), complex(b)) for a, b in pairs]
-    else:
-        angles = [float(t) for t in angles]
-        reduced = [math.fmod(math.fmod(t, 2 * math.pi) + 2 * math.pi, 2 * math.pi) for t in angles]
-        if len(set(reduced)) != len(reduced):
-            raise ValueError("duplicate angles")
-        columns = [(math.cos(t), math.sin(t)) for t in angles]
-        if kind == "classical":
-            if kappa is None:
-                raise ValueError("classical kind needs kappa")
-            columns = [(1j * kappa * c, 1j * kappa * s) for c, s in columns]
+    angles = [float(t) for t in angles]
+    reduced = [math.fmod(math.fmod(t, 2 * math.pi) + 2 * math.pi, 2 * math.pi) for t in angles]
+    if len(set(reduced)) != len(reduced):
+        raise ValueError("duplicate angles")
+    columns = [(math.cos(t), math.sin(t)) for t in angles]
     entries = np.empty((tri_size(n), len(columns)), dtype=complex)
     for row, (k1, k2) in enumerate(indices(n)):
         w = 1.0 / (math.factorial(k1) * math.factorial(k2))
         for col, (a, b) in enumerate(columns):
             entries[row, col] = a**k1 * b**k2 * w
-    return TaylorMatrix(n=n, kind=kind, entries=entries)
+    return TaylorMatrix(n=n, entries=entries)
 
 
 def numeric_rank(mat, tol: float = 1e-9) -> int:
@@ -135,30 +107,22 @@ def taylor_match(
     mat: TaylorMatrix,
     F,
     rcond: float = 1e-9,
-    row_scale: bool = False,
     row_weights=None,
 ) -> TaylorMatch:
     """Minimum-norm least-squares solve of (matrix) X = F.
 
     The matrix is rank-deficient by design (rank at most 2n+1 regardless of
     p and rows), so the SVD threshold picks the minimum-norm representative.
-    row_scale normalizes each row by its largest entry before solving, an
-    experiment toggle.  row_weights multiplies each matching condition before
-    the solve: weighting row (k1, k2) by h^(k1+k2) calibrates the match to a
-    disk of radius h, so mismatches are pushed onto the conditions that
-    matter least there.  The reported residual is always on the unscaled,
-    unweighted system.
+    row_weights multiplies each matching condition before the solve:
+    weighting row (k1, k2) by h^(k1+k2) calibrates the match to a disk of
+    radius h, so mismatches are pushed onto the conditions that matter least
+    there.  The reported residual is always on the unweighted system.
     """
     F = np.asarray(F, dtype=complex).ravel()
     if F.shape[0] != mat.rows:
         raise ValueError(f"F has {F.shape[0]} entries, matrix has {mat.rows} rows")
     A = mat.entries
     rhs = F
-    if row_scale:
-        scale = np.max(np.abs(A), axis=1)
-        scale[scale == 0] = 1.0
-        A = A / scale[:, None]
-        rhs = rhs / scale
     if row_weights is not None:
         w = np.asarray(row_weights, dtype=float).ravel()
         if w.shape[0] != mat.rows:
@@ -169,14 +133,3 @@ def taylor_match(
     residual = float(np.linalg.norm(mat.entries @ X - F))
     return TaylorMatch(coefficients=X, residual=residual)
 
-
-def evaluate_combination(basis: GpwBasis, X, point) -> complex:
-    """Value of sum_l X_l exp(P_l) at the point."""
-    X = np.asarray(X, dtype=complex).ravel()
-    if X.shape[0] != basis.p:
-        raise ValueError(f"{X.shape[0]} coefficients for {basis.p} functions")
-    total = 0j
-    for x_l, gpw in zip(X, basis.functions):
-        if x_l != 0:
-            total += x_l * cmath.exp(gpw.phase(*point))
-    return total

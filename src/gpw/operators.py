@@ -11,7 +11,8 @@ applies the induced operator on phases,
 as truncated series arithmetic.  The derivative ratios E_{k,l} =
 d_x^k d_y^l(e^P)/e^P satisfy E_{k+1,l} = d_x E_{k,l} + (d_x P) E_{k,l},
 which costs polynomially many series operations; the partition-sum route in
-`gpw.faa` computes the same object combinatorially and serves as its oracle.
+the test oracle `tests/faa_oracle.py` computes the same object
+combinatorially.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class SymbolFactorization:
 class HypothesisReport:
     hyp1: bool
     hyp2: SymbolFactorization | None
-    principal_value: complex = 0j
 
 
 def factor_principal_symbol(gamma: np.ndarray) -> SymbolFactorization:
@@ -170,16 +170,20 @@ def check_hypotheses(op: PdeOperator) -> HypothesisReport:
     diagonal; higher even orders would need a perfect-power detection that
     is ill-posed in floating point, so callers assert their own there.
     """
-    principal = op.principal_at_center()
-    largest = max(
-        (abs(op.coefficient_at_center(k, l)) for (k, l) in op.coeffs), default=0.0
-    )
-    hyp1 = abs(principal) > HYP1_RTOL * largest and largest > 0
     hyp2 = None
     if op.M == 2:
         factorization = factor_principal_symbol(principal_symbol_matrix(op))
         hyp2 = factorization if factorization.valid else None
-    return HypothesisReport(hyp1=hyp1, hyp2=hyp2, principal_value=principal)
+    return HypothesisReport(hyp1=_hyp1_holds(op), hyp2=hyp2)
+
+
+def _hyp1_holds(op: PdeOperator) -> bool:
+    """The (M, 0) coefficient at the center clears HYP1_RTOL times the
+    largest coefficient there, and not every coefficient vanishes."""
+    largest = max(
+        (abs(op.coefficient_at_center(k, l)) for (k, l) in op.coeffs), default=0.0
+    )
+    return abs(op.principal_at_center()) > HYP1_RTOL * largest and largest > 0
 
 
 def apply_phase_operator(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSeries2:

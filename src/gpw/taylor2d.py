@@ -17,11 +17,6 @@ truncation, sums and differences act on the last axis and broadcast an
 unbatched series against a batched one, so a whole basis of phases goes
 through the residual recurrence in one pass, and ts_exp exponentiates a
 whole batch at once.  Indexing and evaluation take a single series.
-
-Multi-indices additionally carry a strict total order: shorter first, ties
-broken by the smaller x-component.  Equal-length indices of the form
-"μ1+μ2 = ν1+ν2" are compared through μ1 < ν1 (comparing the components of a
-single index against each other would not order anything).
 """
 
 from __future__ import annotations
@@ -46,29 +41,14 @@ def index_of(i: int, j: int) -> int:
     return s * (s + 1) // 2 + j
 
 
-def mi_compare(a: Index, b: Index) -> int:
-    """Strict total order on multi-indices; returns -1, 0 or 1.
-
-    a precedes b when |a| < |b|, or the lengths tie and a has the smaller
-    x-component.  Under this order (0, 1) precedes (1, 0).
-    """
-    ka = (a[0] + a[1], a[0])
-    kb = (b[0] + b[1], b[0])
-    return (ka > kb) - (ka < kb)
-
-
-def mi_sort_key(a: Index) -> tuple[int, int]:
-    """Sort key realizing the same order as mi_compare."""
-    return (a[0] + a[1], a[0])
-
-
 def indices(order: int) -> list[Index]:
     """All indices of length <= order, in storage (flat-offset) order."""
     return [(s - j, j) for s in range(order + 1) for j in range(s + 1)]
 
 
 def graded_indices(order: int) -> list[Index]:
-    """All indices of length <= order, sorted by mi_compare."""
+    """All indices of length <= order: shorter first, ties broken by the
+    smaller x-component, so (0, 1) precedes (1, 0)."""
     return [(i, s - i) for s in range(order + 1) for i in range(s + 1)]
 
 
@@ -329,19 +309,11 @@ def _check_axis(axis: str) -> None:
 
 def ts_coordinate(axis: str, center, order: int) -> TaylorSeries2:
     """The coordinate function x or y, expanded about the center."""
-    return ts_power(axis, 1, center, order)
-
-
-def ts_power(axis: str, exponent: int, center, order: int) -> TaylorSeries2:
-    """x^k or y^k about the center (exact binomial expansion)."""
     _check_axis(axis)
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
     c0 = center[0] if axis == "x" else center[1]
-    values: dict[Index, complex] = {}
-    for m in range(min(exponent, order) + 1):
-        coef = math.comb(exponent, m) * c0 ** (exponent - m)
-        values[(m, 0) if axis == "x" else (0, m)] = coef
+    values: dict[Index, complex] = {(0, 0): c0}
+    if order >= 1:
+        values[(1, 0) if axis == "x" else (0, 1)] = 1
     return ts_from_dict(center, order, values)
 
 
@@ -367,11 +339,3 @@ def ts_cos(axis: str, center, order: int) -> TaylorSeries2:
     values = {((k, 0) if axis == "x" else (0, k)): table[k] for k in range(order + 1)}
     return ts_from_dict(center, order, values)
 
-
-def ts_affine(c0, cx, cy, center, order: int) -> TaylorSeries2:
-    """c0 + cx*x + cy*y about the center."""
-    values: dict[Index, complex] = {(0, 0): c0 + cx * center[0] + cy * center[1]}
-    if order >= 1:
-        values[(1, 0)] = cx
-        values[(0, 1)] = cy
-    return ts_from_dict(center, order, values)

@@ -5,6 +5,8 @@ chain rule: a derivative of order (i, j) applied to e^P expands over
 partitions of (i, j) into distinct nonzero multi-indices with positive
 multiplicities.  Exponentially slower than the ratio recurrence that the
 production path uses, but trivially auditable; each side checks the other.
+The package never calls it: it is the test oracle for
+`gpw.operators.apply_phase_operator` and the construction's right-hand sides.
 """
 
 from __future__ import annotations
@@ -20,12 +22,17 @@ from gpw.taylor2d import (
     TaylorSeries2,
     index_of,
     indices,
-    mi_sort_key,
     tri_size,
     ts_from_dict,
 )
 
 Part = tuple[int, Index]
+
+
+def mi_sort_key(a: Index) -> tuple[int, int]:
+    """Strict total order on multi-indices: shorter first, ties broken by
+    the smaller x-component, so (0, 1) precedes (1, 0)."""
+    return (a[0] + a[1], a[0])
 
 
 @dataclass(frozen=True)

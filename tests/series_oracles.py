@@ -1,8 +1,11 @@
-"""Reference evaluators that the package itself no longer uses."""
+"""Reference series code that the package itself does not use."""
+
+import math
 
 import numpy as np
 
-from gpw.taylor2d import indices
+from faa_oracle import mi_sort_key
+from gpw.taylor2d import indices, ts_from_dict
 
 
 def term_sum(series, x, y):
@@ -26,3 +29,38 @@ def term_magnitude(series, x, y):
     for (i, j), c in zip(indices(series.order), series.coeffs):
         out = out + abs(c) * dx**i * dy**j
     return out
+
+
+def mi_compare(a, b) -> int:
+    """Strict total order on multi-indices; returns -1, 0 or 1.
+
+    a precedes b when |a| < |b|, or the lengths tie and a has the smaller
+    x-component.  Equal-length indices of the form "μ1+μ2 = ν1+ν2" are
+    compared through μ1 < ν1 (comparing the components of a single index
+    against each other would not order anything).
+    """
+    ka, kb = mi_sort_key(a), mi_sort_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def ts_power(axis: str, exponent: int, center, order: int):
+    """x^k or y^k about the center (exact binomial expansion)."""
+    if axis not in ("x", "y"):
+        raise ValueError(f"unknown axis {axis!r}")
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    c0 = center[0] if axis == "x" else center[1]
+    values = {}
+    for m in range(min(exponent, order) + 1):
+        coef = math.comb(exponent, m) * c0 ** (exponent - m)
+        values[(m, 0) if axis == "x" else (0, m)] = coef
+    return ts_from_dict(center, order, values)
+
+
+def ts_affine(c0, cx, cy, center, order: int):
+    """c0 + cx*x + cy*y about the center."""
+    values = {(0, 0): c0 + cx * center[0] + cy * center[1]}
+    if order >= 1:
+        values[(1, 0)] = cx
+        values[(0, 1)] = cy
+    return ts_from_dict(center, order, values)

@@ -26,7 +26,6 @@ from gpw.construction import (
     kappa_from_zeroth,
     level_matrix,
 )
-from gpw.faa import phase_operator_series_oracle
 from gpw.interp import assemble_gpw_matrix, assemble_reference_matrix, numeric_rank
 from gpw.operators import (
     OperatorFamily,
@@ -37,6 +36,7 @@ from gpw.operators import (
     residual_series,
 )
 from gpw.taylor2d import graded_indices, indices, ts_from_dict
+from faa_oracle import phase_operator_series_oracle
 
 
 def _report(label: str, ok: bool, detail: str) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gpw.bench import (
+    CASE_NAMES,
     CSV_HEADER,
     ConvergenceReport,
     TestCase,
@@ -51,6 +52,7 @@ def fd_third(f, x, h):
 def test_builtin_cases_shape():
     cases = builtin_cases()
     assert [c.name for c in cases] == ["Ad", "Jc", "JJ", "cs"]
+    assert tuple(c.name for c in cases) == CASE_NAMES
     by_name = {c.name: c for c in cases}
     assert by_name["Ad"].domain == (-2.0, 2.0, -2.0, 2.0)
     assert by_name["JJ"].domain == (1.0, 3.0, 1.0, 3.0)
@@ -58,7 +60,7 @@ def test_builtin_cases_shape():
     assert by_name["Jc"].domain[3] == pytest.approx(2 * math.pi)
     assert by_name["Jc"].printed_family is not None
     assert all(by_name[k].printed_family is None for k in ("Ad", "JJ", "cs"))
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="choose from Ad, Jc, JJ, cs"):
         case_by_name("helmholtz")
 
 
@@ -329,6 +331,21 @@ def test_run_convergence_rejects_bad_grid():
     case = case_by_name("cs")
     with pytest.raises(ValueError, match="strictly decreasing"):
         run_convergence(case, n=1, q=1, num_centers=2, h_grid=[0.1, 0.5])
+
+
+def test_run_convergence_rejects_bad_arguments_before_validating(monkeypatch):
+    # every check runs before the case is validated or a center is drawn
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(gpw.bench, "validate_case", no_work)
+    case = case_by_name("cs")
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        run_convergence(case, n=0, q=1, num_centers=2)
+    with pytest.raises(ValueError, match="number of centers must be at least 1, got 0"):
+        run_convergence(case, n=1, q=1, num_centers=0)
+    with pytest.raises(ValueError, match="at least 4 h values to estimate an order, got 3"):
+        run_convergence(case, n=1, q=1, num_centers=2, h_grid=[0.5, 0.1, 0.01])
 
 
 def test_run_convergence_gates_on_validation():

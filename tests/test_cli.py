@@ -9,7 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from gpw.bench import DEFAULT_H_GRID, CaseValidation, case_by_name, read_report_csv
+from gpw.bench import (
+    CASE_NAMES,
+    DEFAULT_H_GRID,
+    CaseValidation,
+    case_by_name,
+    read_report_csv,
+)
 from gpw.cli import main, read_config
 from gpw.construction import build_basis, parse_gpw_text, serialize_gpw
 from gpw.taylor2d import tri_size
@@ -110,6 +116,33 @@ def test_rank_study_single_cell(capsys):
     assert lines[2].split() == ["2", "5", "5", "5", "5"]
 
 
+def test_rank_study_defaults_to_all_cases(capsys):
+    assert main(["rank-study", "--n", "1", "--p", "3", "--centers", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[::3]] == [
+        f"case {name}" for name in CASE_NAMES
+    ]
+    assert all(line.split() == ["1", "3", "3", "3", "3"] for line in lines[2::3])
+
+
+@pytest.mark.parametrize(
+    "p, fake_rank",
+    [
+        (5, "counter"),  # wave ranks differ from the reference rank
+        (3, "full"),  # full rank 2n+1 claimed at p < 2n+1
+    ],
+)
+def test_rank_study_fails_when_characterization_breaks(monkeypatch, capsys, p, fake_rank):
+    calls = iter(range(100))
+    rank = (lambda mat: next(calls)) if fake_rank == "counter" else (lambda mat: 5)
+    monkeypatch.setattr("gpw.cli.numeric_rank", rank)
+    argv = ["rank-study", "--case", "Ad", "--n", "2", "--p", str(p), "--centers", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3
+    assert f"rank characterization fails at Ad n=2 p={p}" in captured.err
+
+
 # --- convergence -----------------------------------------------------------------
 
 
@@ -168,6 +201,28 @@ def test_convergence_rejects_p_below_one_before_drawing_centers(capsys, caplog):
         assert main(argv) == 1
     assert "p must be positive, got 0" in capsys.readouterr().err
     assert not [r for r in caplog.records if "redrew" in r.getMessage()]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--centers", "0"], "number of centers must be at least 1, got 0"),
+        (["--centers", "-1"], "number of centers must be at least 1, got -1"),
+        (["--hmin", "0"], "hmin must be positive, got 0.0"),
+        (["--hmax", "1e-7"], "hmax must exceed hmin, got hmax 1e-07, hmin 1e-06"),
+        (["--n", "0"], "n must be at least 1, got 0"),
+        (["--hcount", "2"], "need at least 4 h values to estimate an order, got 2"),
+    ],
+)
+def test_convergence_rejects_bad_study_arguments_early(monkeypatch, capsys, flags, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr("gpw.bench.validate_case", no_work)
+    argv = ["convergence", "--case", "cs", "--n", "2", "--q", "1", "--centers", "5"]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 # --- config files ----------------------------------------------------------------

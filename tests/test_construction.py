@@ -1,10 +1,11 @@
 """Tests for the level-by-level phase construction.
 
-Two independent oracles before anything else: an explicit-sum transcription
+Independent oracles before anything else: an explicit-sum transcription
 of the per-level right-hand side (linear lower-layer terms with factorial
-weights plus the partition-based nonlinear part), and hand-derived closed
-forms for the first nonlinear cells of a mixed-coefficient second-order
-operator.  The production path never sees either.
+weights plus the partition-based nonlinear part), hand-derived closed forms
+for the first nonlinear cells of a mixed-coefficient second-order operator,
+and ``level_rhs``, the right-hand side read off the residual of a phase whose
+unsolved layers are cleared.  The production path never sees any of them.
 """
 
 import cmath
@@ -23,13 +24,11 @@ from gpw.construction import (
     dof_counts,
     kappa_from_zeroth,
     level_matrix,
-    level_rhs,
     parse_gpw_text,
     pi_weight,
     serialize_gpw,
 )
 from gpw.bench import case_by_name, draw_centers
-from gpw.faa import phase_operator_series_oracle
 from gpw.operators import (
     HYP1_RTOL,
     HypothesisError,
@@ -39,6 +38,7 @@ from gpw.operators import (
     residual_series,
 )
 from gpw.taylor2d import TaylorSeries2, graded_indices, index_of, tri_size
+from faa_oracle import phase_operator_series_oracle
 
 
 # --- oracles ---------------------------------------------------------------
@@ -81,6 +81,20 @@ def rhs_cell_by_explicit_sums(op, phase, I, J):
     if zeroth is not None:
         total += zeroth[(I, J)]
     return -total
+
+
+def level_rhs(op, phase, L):
+    """Right-hand side of level L, independent of every coefficient of
+    length >= M + L: those are zeroed internally before the residual is
+    taken, so the result depends only on the already-solved layers.
+    """
+    if phase.order < L + op.M:
+        raise ValueError(f"phase order {phase.order} < {L + op.M}")
+    arr = np.array(phase.coeffs)
+    arr[tri_size(op.M + L - 1):] = 0.0
+    cleared = TaylorSeries2(phase.center, phase.order, arr)
+    res = residual_series(op, cleared, L)
+    return np.array([-res[(I, L - I)] for I in range(L + 1)])
 
 
 def random_phase(center, order, rng, top_zero_below=None):

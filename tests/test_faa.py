@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from gpw.faa import (
+from faa_oracle import (
     Partition,
     enumerate_partitions,
     faa_di_bruno_exp_derivative,
+    mi_sort_key,
     phase_operator_series_oracle,
 )
 from gpw.taylor2d import (
     TaylorSeries2,
-    mi_sort_key,
     tri_size,
     ts_constant,
     ts_exp,

@@ -3,7 +3,9 @@
 The reference rows have closed forms, so most expectations here are direct
 formula evaluations; the exact-solution matching tests draw their coefficient
 vectors from the trigonometric product solution (closed form) and from the
-Airy derivative stack.
+Airy derivative stack.  The classical and transition companion matrices and
+the pointwise evaluation of a matched combination are oracles kept here; the
+package builds only the wave and reference matrices.
 """
 
 import cmath
@@ -17,7 +19,6 @@ from gpw.interp import (
     TaylorMatrix,
     assemble_gpw_matrix,
     assemble_reference_matrix,
-    evaluate_combination,
     numeric_rank,
     taylor_match,
 )
@@ -78,6 +79,44 @@ def helmholtz(kappa):
     )
 
 
+# --- oracles -----------------------------------------------------------------
+
+
+def _power_rows(columns, n):
+    entries = np.empty((tri_size(n), len(columns)), dtype=complex)
+    for row, (k1, k2) in enumerate(indices(n)):
+        w = 1.0 / (math.factorial(k1) * math.factorial(k2))
+        for col, (a, b) in enumerate(columns):
+            entries[row, col] = a**k1 * b**k2 * w
+    return TaylorMatrix(n=n, entries=entries)
+
+
+def classical_matrix(angles, n, kappa):
+    """Row (k1, k2): the reference row times (i kappa)^(k1+k2), the Taylor
+    data of the classical plane waves exp(i kappa (cos t, sin t).(x, y))."""
+    return _power_rows(
+        [(1j * kappa * math.cos(t), 1j * kappa * math.sin(t)) for t in angles], n
+    )
+
+
+def transition_matrix(pairs, n):
+    """Row (k1, k2): (l10_l)^k1 (l01_l)^k2 / (k1! k2!), from the first-order
+    pairs alone."""
+    return _power_rows([(complex(a), complex(b)) for a, b in pairs], n)
+
+
+def evaluate_combination(basis, X, point):
+    """Value of sum_l X_l exp(P_l) at the point, one wave at a time."""
+    X = np.asarray(X, dtype=complex).ravel()
+    if X.shape[0] != basis.p:
+        raise ValueError(f"{X.shape[0]} coefficients for {basis.p} functions")
+    total = 0j
+    for x_l, gpw in zip(X, basis.functions):
+        if x_l != 0:
+            total += x_l * cmath.exp(gpw.phase(*point))
+    return total
+
+
 # --- assembly ----------------------------------------------------------------
 
 
@@ -93,7 +132,6 @@ def test_gpw_matrix_normalized_rows():
     op = TRIG.instantiate((0.2, -0.4), q=2)
     basis = build_basis(op, 4)
     mat = assemble_gpw_matrix(basis, 2)
-    assert mat.kind == "gpw"
     assert np.array_equal(mat.row_of(0, 0), np.ones(4))
     pairs = [gpw.first_order_pair() for gpw in basis.functions]
     assert np.array_equal(mat.row_of(1, 0), np.array([a for a, _ in pairs]))
@@ -106,7 +144,7 @@ def test_gpw_matrix_order1_equals_transition():
         basis = build_basis(op, 3)
         gpw_mat = assemble_gpw_matrix(basis, 1)
         pairs = [gpw.first_order_pair() for gpw in basis.functions]
-        trans = assemble_reference_matrix(None, 1, kind="transition", pairs=pairs)
+        trans = transition_matrix(pairs, 1)
         assert np.array_equal(gpw_mat.entries, trans.entries)
 
 
@@ -121,7 +159,7 @@ def test_classical_is_block_scaled_reference():
     angles = [0.3 + 1.1 * l for l in range(6)]
     kappa = 1.7
     ref = assemble_reference_matrix(angles, 3)
-    cla = assemble_reference_matrix(angles, 3, kind="classical", kappa=kappa)
+    cla = classical_matrix(angles, 3, kappa)
     for row, (k1, k2) in enumerate(indices(3)):
         scale = (1j * kappa) ** (k1 + k2)
         assert np.allclose(cla.entries[row], scale * ref.entries[row], rtol=1e-14)
@@ -131,24 +169,16 @@ def test_transition_matches_classical_for_constant_coefficients():
     op = helmholtz(2.0).instantiate((0.5, -0.5), q=2)
     basis = build_basis(op, 5)
     pairs = [gpw.first_order_pair() for gpw in basis.functions]
-    trans = assemble_reference_matrix(None, 3, kind="transition", pairs=pairs)
-    cla = assemble_reference_matrix(basis.angles, 3, kind="classical", kappa=2.0)
+    trans = transition_matrix(pairs, 3)
+    cla = classical_matrix(basis.angles, 3, 2.0)
     assert np.allclose(trans.entries, cla.entries, rtol=1e-13, atol=1e-15)
 
 
 def test_assembly_argument_errors():
     with pytest.raises(ValueError, match="duplicate"):
         assemble_reference_matrix([0.0, 2 * math.pi], 1)
-    with pytest.raises(ValueError, match="kind"):
-        assemble_reference_matrix([0.0], 1, kind="mystery")
-    with pytest.raises(ValueError, match="kappa"):
-        assemble_reference_matrix([0.0, 1.0], 1, kind="classical")
-    with pytest.raises(ValueError, match="pairs"):
-        assemble_reference_matrix([0.0, 1.0], 1, kind="transition")
-    with pytest.raises(ValueError, match="kind"):
-        TaylorMatrix(n=1, kind="nope", entries=np.ones((3, 2)))
     with pytest.raises(ValueError, match="rows"):
-        TaylorMatrix(n=2, kind="gpw", entries=np.ones((3, 2)))
+        TaylorMatrix(n=2, entries=np.ones((3, 2)))
 
 
 def test_gpw_matrix_warns_when_order_exceeds_guarantee():
@@ -197,7 +227,7 @@ def test_higher_order_rows_lie_in_lower_transition_span():
         basis = build_basis(op, 9)
         mat = assemble_gpw_matrix(basis, 4)
         pairs = [gpw.first_order_pair() for gpw in basis.functions]
-        trans = assemble_reference_matrix(None, 4, kind="transition", pairs=pairs)
+        trans = transition_matrix(pairs, 4)
         diff = mat.entries - trans.entries
         for K in range(1, 5):
             block = diff[tri_size(K - 1): tri_size(K)]
@@ -267,18 +297,6 @@ def test_match_airy_solution_data():
         )
         match = taylor_match(mat, F)
         assert match.residual < 1e-9 * np.linalg.norm(F)
-
-
-def test_match_row_scaling_toggle():
-    op = TRIG.instantiate((0.2, -0.4), q=1)
-    basis = build_basis(op, 5)
-    mat = assemble_gpw_matrix(basis, 2)
-    F = mat.entries @ np.linspace(1.0, 2.0, 5)
-    plain = taylor_match(mat, F)
-    scaled = taylor_match(mat, F, row_scale=True)
-    assert plain.residual < 1e-12
-    assert scaled.residual < 1e-12
-    assert np.allclose(plain.coefficients, scaled.coefficients, atol=1e-8)
 
 
 def test_match_row_weights_steer_the_mismatch():

@@ -11,10 +11,7 @@ from gpw.taylor2d import (
     graded_indices,
     index_of,
     indices,
-    mi_compare,
-    mi_sort_key,
     tri_size,
-    ts_affine,
     ts_constant,
     ts_coordinate,
     ts_cos,
@@ -22,11 +19,11 @@ from gpw.taylor2d import (
     ts_exp,
     ts_from_dict,
     ts_mul,
-    ts_power,
     ts_sin,
     ts_zero,
 )
-from series_oracles import term_magnitude, term_sum
+from faa_oracle import mi_sort_key
+from series_oracles import mi_compare, term_magnitude, term_sum, ts_affine, ts_power
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -391,6 +388,14 @@ def test_power_expansion():
     a = ts_power("x", 3, (2.0, 0.0), 4)
     assert a[(0, 0)] == 8 and a[(1, 0)] == 12
     assert a[(2, 0)] == 6 and a[(3, 0)] == 1 and a[(4, 0)] == 0
+
+
+def test_coordinate_is_the_first_power_bit_for_bit():
+    for axis in ("x", "y"):
+        for order in (0, 1, 4):
+            want = ts_power(axis, 1, (0.3, -0.7), order)
+            got = ts_coordinate(axis, (0.3, -0.7), order)
+            assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_coordinate_evaluates_to_itself():
