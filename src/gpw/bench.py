@@ -285,6 +285,7 @@ def substitution_residual(
 
 def validate_case(case: TestCase, trials: int = 20, seed: int = 0) -> CaseValidation:
     """Check L u = 0 by direct series substitution at random centers."""
+    require_centers(trials)
     rng = np.random.default_rng(seed)
     centers = draw_centers(case, trials, rng)
     worst = max(substitution_residual(case.family, case, c) for c in centers)
@@ -305,6 +306,12 @@ def validate_case(case: TestCase, trials: int = 20, seed: int = 0) -> CaseValida
 
 
 # --- random centers and disk sampling ----------------------------------------
+
+
+def require_centers(count: int) -> None:
+    """Every study needs a center; checked before any work."""
+    if count < 1:
+        raise ValueError(f"number of centers must be at least 1, got {count}")
 
 
 def draw_centers(
@@ -446,8 +453,7 @@ def run_convergence(
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if num_centers < 1:
-        raise ValueError(f"number of centers must be at least 1, got {num_centers}")
+    require_centers(num_centers)
     if p is None:
         p = 2 * n + 1
     if p < 1:

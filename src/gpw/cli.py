@@ -29,10 +29,12 @@ import numpy as np
 
 from .bench import (
     CASE_NAMES,
+    MIN_H_VALUES,
     builtin_cases,
     case_by_name,
     draw_centers,
     emit_report,
+    require_centers,
     run_convergence,
     validate_case,
 )
@@ -41,11 +43,9 @@ from .construction import (
     basis_angles,
     build_basis,
     construct_gpw,
-    kappa_from_zeroth,
     serialize_gpw,
 )
 from .interp import assemble_gpw_matrix, assemble_reference_matrix, numeric_rank
-from .operators import HypothesisError, check_hypotheses
 
 FORMAT_NAMES = ("csv", "plotdata")
 
@@ -214,17 +214,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:
         center = (args.center[0], args.center[1])
     op = case.family.instantiate(center, q=args.q)
-    report = check_hypotheses(op)
-    if not report.hyp1:
-        raise HypothesisError(f"case {case.name}: leading coefficient vanishes at {center}")
-    if report.hyp2 is None or not report.hyp2.valid:
-        raise HypothesisError(f"case {case.name}: no usable symbol factorization at {center}")
-    norm = GpwNormalization(
-        theta=args.theta,
-        kappa=kappa_from_zeroth(op),
-        factorization=report.hyp2,
-    )
-    gpw = construct_gpw(op, [norm])[0]
+    gpw = construct_gpw(op, [GpwNormalization(theta=args.theta)])[0]
     _write(serialize_gpw(gpw), args.out)
     return 0
 
@@ -244,6 +234,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_rank_study(args: argparse.Namespace) -> int:
     """Exit status 1 unless, in every cell, the reference rank is full
     (2n+1) exactly when p >= 2n+1 and every wave rank equals it."""
+    require_centers(args.centers)
     cases = [case_by_name(args.case)] if args.case else builtin_cases()
     orders = [args.n] if args.n is not None else [1, 2, 3, 4]
     lines: list[str] = []
@@ -282,6 +273,11 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         raise ValueError(f"hmin must be positive, got {args.hmin}")
     if not args.hmax > args.hmin:
         raise ValueError(f"hmax must exceed hmin, got hmax {args.hmax}, hmin {args.hmin}")
+    if args.hcount < MIN_H_VALUES:
+        raise ValueError(
+            f"--hcount: need at least {MIN_H_VALUES} h values to estimate an order, "
+            f"got {args.hcount}"
+        )
     h_grid = np.logspace(math.log10(args.hmax), math.log10(args.hmin), args.hcount)
     report = run_convergence(
         case,

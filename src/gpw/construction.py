@@ -22,12 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from gpw.operators import (
-    HypothesisError,
     PdeOperator,
-    SymbolFactorization,
-    _hyp1_holds,
     check_hypotheses,
     principal_sqrt,
+    require_hyp1,
     residual_series,
 )
 from gpw.taylor2d import (
@@ -77,34 +75,23 @@ def level_matrix(op: PdeOperator, L: int) -> np.ndarray:
 class GpwNormalization:
     """Choice of the free phase coefficients.
 
-    The first-order pair comes from the factored symbol: directions
-    (cos theta, sin theta) are mapped through D^{-1/2} and A^{-1} and scaled
-    by i*kappa, which for the constant Laplacian reduces to the classical
-    plane-wave exponent.  fixed_values overrides individual free
-    coefficients (x-degree < M), including the first-order pair itself;
-    overriding the pair removes any need for a factorization.
+    construct_gpw maps the direction (cos theta, sin theta) through D^{-1/2}
+    and A^{-1} of the operator's factored symbol and scales by i*kappa, which
+    for the constant Laplacian gives the classical plane-wave exponent.
+    fixed_values overrides individual free coefficients (x-degree < M),
+    including the first-order pair itself; overriding the pair removes any
+    need for a factorization.
     """
 
     theta: float = 0.0
-    kappa: complex = 1.0
-    factorization: SymbolFactorization | None = None
     fixed_values: dict[Index, complex] = field(default_factory=dict)
 
-    def first_order_pair(self) -> tuple[complex, complex]:
-        if (1, 0) in self.fixed_values and (0, 1) in self.fixed_values:
-            return self.fixed_values[(1, 0)], self.fixed_values[(0, 1)]
-        if (1, 0) in self.fixed_values or (0, 1) in self.fixed_values:
+    def has_explicit_pair(self) -> bool:
+        """True when fixed_values sets the first-order pair, False when theta does."""
+        given = [ij in self.fixed_values for ij in ((1, 0), (0, 1))]
+        if given[0] != given[1]:
             raise ValueError("override both first-order coefficients or neither")
-        if self.factorization is None or not self.factorization.valid:
-            raise ValueError("no valid symbol factorization and no explicit pair")
-        if self.kappa == 0:
-            raise ValueError("kappa must be nonzero")
-        direction = np.array([math.cos(self.theta), math.sin(self.theta)], dtype=complex)
-        inv_A, inv_sqrt_D = self.factorization.direction_factors
-        # ((i kappa A^-1) D^-1/2) direction, grouped as always: folding
-        # i kappa into a cached A^-1 D^-1/2 would move the last bits
-        vec = 1j * self.kappa * inv_A @ inv_sqrt_D @ direction
-        return complex(vec[0]), complex(vec[1])
+        return given[0]
 
 
 @dataclass(frozen=True)
@@ -135,7 +122,7 @@ def construct_gpw(
 ) -> list[GpwPolynomial]:
     """Fill the free coefficients of each wave from its normalization, then
     solve the levels 0..q-1 in order by forward substitution, all waves at
-    once.  Requires only a nonvanishing leading coefficient at the center.
+    once.  Needs hypothesis 1, and hypothesis 2 only for pairs set by theta.
 
     The level matrix depends on the operator alone, so it is built once per
     level; the waves differ only in their right-hand sides.
@@ -145,17 +132,21 @@ def construct_gpw(
     norms = list(norms)
     if not norms:
         raise ValueError("need at least one normalization")
-    if not _hyp1_holds(op):
-        raise HypothesisError("leading coefficient vanishes at the center")
+    require_hyp1(op)
+    explicit = [norm.has_explicit_pair() for norm in norms]
+    if not all(explicit):
+        factorization = check_hypotheses(op)
+        inv_A, inv_sqrt_D = np.linalg.inv(factorization.A), factorization.inverse_sqrt_D()
+        kappa = kappa_from_zeroth(op)
 
     arr = np.zeros((len(norms), tri_size(degree)), dtype=complex)
-    for row, norm in zip(arr, norms):
-        l10, l01 = norm.first_order_pair()
-        row[index_of(1, 0)] = l10
-        row[index_of(0, 1)] = l01
-        for (i, j), value in norm.fixed_values.items():
-            if (i, j) in ((1, 0), (0, 1)):
-                continue
+    for row, norm, explicit_pair in zip(arr, norms, explicit):
+        if not explicit_pair:
+            direction = np.array([math.cos(norm.theta), math.sin(norm.theta)], dtype=complex)
+            # ((i kappa A^-1) D^-1/2) direction, grouped as always: folding
+            # i kappa into A^-1 D^-1/2 would move the last bits
+            row[[index_of(1, 0), index_of(0, 1)]] = 1j * kappa * inv_A @ inv_sqrt_D @ direction
+        for (i, j), value in norm.fixed_values.items():  # an explicit pair included
             if (i, j) == (0, 0):
                 raise ValueError("the constant phase coefficient stays zero")
             if i >= M:
@@ -211,11 +202,14 @@ class GpwBasis:
     operator: PdeOperator
     functions: list[GpwPolynomial]
     angles: list[float]
-    kappa: complex
 
     @property
     def p(self) -> int:
         return len(self.functions)
+
+    @property
+    def kappa(self) -> complex:
+        return kappa_from_zeroth(self.operator)
 
 
 def basis_angles(p: int) -> list[float]:
@@ -223,39 +217,16 @@ def basis_angles(p: int) -> list[float]:
     return [math.pi / 6 + 2 * l * math.pi / p for l in range(p)]
 
 
-def build_basis(
-    op: PdeOperator,
-    p: int,
-    kappa: complex | None = None,
-    factorization: SymbolFactorization | None = None,
-) -> GpwBasis:
-    """Construct the p-member basis with the standard normalization.
-
-    The symbol factorization comes from the hypothesis check for M = 2;
-    higher even orders must supply their own.
+def build_basis(op: PdeOperator, p: int) -> GpwBasis:
+    """Construct the p-member basis with the standard normalization: one
+    wave per direction of basis_angles(p), its first-order pair taken from
+    the operator's symbol factorization and kappa_from_zeroth.
     """
     if p < 1:
         raise ValueError("p must be positive")
-    report = check_hypotheses(op)
-    if not report.hyp1:
-        raise HypothesisError("leading coefficient vanishes at the center")
-    if factorization is None:
-        factorization = report.hyp2
-    if factorization is None or not factorization.valid:
-        raise HypothesisError("no usable symbol factorization")
-    if kappa is None:
-        kappa = kappa_from_zeroth(op)
-    if kappa == 0:
-        raise ValueError("kappa must be nonzero")
     angles = basis_angles(p)
-    functions = construct_gpw(
-        op,
-        [
-            GpwNormalization(theta=theta, kappa=kappa, factorization=factorization)
-            for theta in angles
-        ],
-    )
-    return GpwBasis(operator=op, functions=functions, angles=angles, kappa=kappa)
+    functions = construct_gpw(op, [GpwNormalization(theta=theta) for theta in angles])
+    return GpwBasis(operator=op, functions=functions, angles=angles)
 
 
 # ---------------------------------------------------------------------------

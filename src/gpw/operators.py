@@ -3,8 +3,9 @@
 An operator is a finite sum of coefficient fields times partial derivatives,
 L u = sum_{0 <= k+l <= M} c_{k,l}(x,y) d_x^k d_y^l u.  This module models L
 near a point, checks the two structural hypotheses the phase construction
-needs (nonvanishing leading coefficient; factorizable order-2 symbol), and
-applies the induced operator on phases,
+needs (nonvanishing leading coefficient; factorizable order-2 symbol:
+`check_hypotheses` returns the factorization or raises `HypothesisError`),
+and applies the induced operator on phases,
 
     P  |->  L(e^P) / e^P - c_{0,0},
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 import ast
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -95,30 +95,15 @@ class PdeOperator:
 
 @dataclass(frozen=True)
 class SymbolFactorization:
-    """Congruence factorization gamma = A^T D A of a symmetric 2x2 symbol."""
+    """Congruence factorization gamma = A^T D A, D diagonal with no zero entry."""
 
     gamma: np.ndarray
     A: np.ndarray
     D: np.ndarray
-    valid: bool
 
     def inverse_sqrt_D(self) -> np.ndarray:
         """diag(1/sqrt(mu1), 1/sqrt(mu2)), principal square roots."""
-        if not self.valid:
-            raise ValueError("factorization is degenerate")
         return np.diag([1 / principal_sqrt(self.D[0, 0]), 1 / principal_sqrt(self.D[1, 1])])
-
-    @cached_property
-    def direction_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A^-1, D^-1/2), computed once: every direction of a basis maps
-        through the same factorization."""
-        return np.linalg.inv(self.A), self.inverse_sqrt_D()
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    hyp1: bool
-    hyp2: SymbolFactorization | None
 
 
 def factor_principal_symbol(gamma: np.ndarray) -> SymbolFactorization:
@@ -126,8 +111,8 @@ def factor_principal_symbol(gamma: np.ndarray) -> SymbolFactorization:
 
     Branch order is fixed for determinism: complete the square on the first
     variable when gamma[0,0] != 0, on the second when only gamma[1,1] != 0,
-    and rotate X = U+V, Y = U-V for a pure cross term.  valid is False iff
-    the resulting D has a zero diagonal entry.
+    and rotate X = U+V, Y = U-V for a pure cross term.  Raises
+    HypothesisError when every entry vanishes or D has a zero diagonal entry.
     """
     gamma = np.asarray(gamma, dtype=complex)
     g1, g3 = gamma[0, 0], gamma[1, 1]
@@ -143,9 +128,10 @@ def factor_principal_symbol(gamma: np.ndarray) -> SymbolFactorization:
         A = np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex)
         D = np.diag([g2, -g2])
     else:
-        return SymbolFactorization(gamma, np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex), False)
-    valid = bool(D[0, 0] != 0 and D[1, 1] != 0)
-    return SymbolFactorization(gamma, A, D, valid)
+        D = np.zeros((2, 2), dtype=complex)
+    if D[0, 0] == 0 or D[1, 1] == 0:
+        raise HypothesisError("no usable symbol factorization")
+    return SymbolFactorization(gamma, A, D)
 
 
 def principal_symbol_matrix(op: PdeOperator) -> np.ndarray:
@@ -157,33 +143,33 @@ def principal_symbol_matrix(op: PdeOperator) -> np.ndarray:
     the coefficients directly; moving it across the equation negates it.
     """
     if op.M != 2:
-        raise ValueError("order-2 symbol only")
+        raise ValueError(f"an operator of order M={op.M} has no order-2 symbol")
     a20 = op.coefficient_at_center(2, 0)
     a11 = op.coefficient_at_center(1, 1)
     a02 = op.coefficient_at_center(0, 2)
     return -np.array([[a20, a11 / 2], [a11 / 2, a02]], dtype=complex)
 
 
-def check_hypotheses(op: PdeOperator) -> HypothesisReport:
-    """Hypothesis 1: leading (M,0) coefficient nonzero at the center.
-    Hypothesis 2 (M = 2 only): order-2 symbol factorizable with nonzero
-    diagonal; higher even orders would need a perfect-power detection that
-    is ill-posed in floating point, so callers assert their own there.
-    """
-    hyp2 = None
-    if op.M == 2:
-        factorization = factor_principal_symbol(principal_symbol_matrix(op))
-        hyp2 = factorization if factorization.valid else None
-    return HypothesisReport(hyp1=_hyp1_holds(op), hyp2=hyp2)
+def check_hypotheses(op: PdeOperator) -> SymbolFactorization:
+    """The factorization of the order-2 symbol at the center, or a
+    HypothesisError naming the center when hypothesis 1 (require_hyp1) or 2
+    (nonzero diagonal of D) fails there.  M != 2 has no order-2 symbol, a
+    property of the operator, not of the center: a plain ValueError."""
+    require_hyp1(op)
+    try:
+        return factor_principal_symbol(principal_symbol_matrix(op))
+    except HypothesisError as exc:
+        raise HypothesisError(f"{exc} at the center {op.center}") from None
 
 
-def _hyp1_holds(op: PdeOperator) -> bool:
-    """The (M, 0) coefficient at the center clears HYP1_RTOL times the
-    largest coefficient there, and not every coefficient vanishes."""
+def require_hyp1(op: PdeOperator) -> None:
+    """HypothesisError unless the (M, 0) coefficient at the center clears
+    HYP1_RTOL times the largest coefficient there and that one is nonzero."""
     largest = max(
         (abs(op.coefficient_at_center(k, l)) for (k, l) in op.coeffs), default=0.0
     )
-    return abs(op.principal_at_center()) > HYP1_RTOL * largest and largest > 0
+    if not (abs(op.principal_at_center()) > HYP1_RTOL * largest and largest > 0):
+        raise HypothesisError(f"leading coefficient vanishes at the center {op.center}")
 
 
 def apply_phase_operator(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSeries2:

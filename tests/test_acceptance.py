@@ -23,7 +23,6 @@ from gpw.construction import (
     basis_angles,
     build_basis,
     construct_gpw,
-    kappa_from_zeroth,
     level_matrix,
 )
 from gpw.interp import assemble_gpw_matrix, assemble_reference_matrix, numeric_rank
@@ -50,12 +49,8 @@ def _helmholtz(kappa: float) -> OperatorFamily:
 
 
 def _single_wave(op, theta: float):
-    report = check_hypotheses(op)
-    assert report.hyp1 and report.hyp2 is not None and report.hyp2.valid
-    norm = GpwNormalization(
-        theta=theta, kappa=kappa_from_zeroth(op), factorization=report.hyp2
-    )
-    return construct_gpw(op, [norm])[0]
+    check_hypotheses(op)  # raises unless both hypotheses hold at the center
+    return construct_gpw(op, [GpwNormalization(theta=theta)])[0]
 
 
 def test_criterion_1_defining_property():

@@ -82,6 +82,18 @@ def test_validate_single_case(capsys):
     assert out.count("case") == 1 and "case Ad:" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_validate_rejects_no_centers_before_any_work(monkeypatch, capsys, count):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the validation started")
+
+    monkeypatch.setattr("gpw.bench.draw_centers", no_work)
+    assert main(["validate", "--centers", count]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"number of centers must be at least 1, got {count}" in err
+
+
 def test_validate_exit_code_on_failure(monkeypatch, capsys):
     failing = CaseValidation(case="Ad", trials=5, max_residual=1.0, passed=False)
     monkeypatch.setattr("gpw.cli.validate_case", lambda *a, **k: failing)
@@ -123,6 +135,20 @@ def test_rank_study_defaults_to_all_cases(capsys):
         f"case {name}" for name in CASE_NAMES
     ]
     assert all(line.split() == ["1", "3", "3", "3", "3"] for line in lines[2::3])
+
+
+def test_rank_study_rejects_no_centers_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the rank study started")
+
+    monkeypatch.setattr("gpw.cli.draw_centers", no_work)
+    argv = ["rank-study", "--case", "Ad", "--n", "1", "--p", "3", "--centers", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "number of centers must be at least 1, got 0" in captured.err
+    assert "rank characterization" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -212,6 +238,7 @@ def test_convergence_rejects_p_below_one_before_drawing_centers(capsys, caplog):
         (["--hmax", "1e-7"], "hmax must exceed hmin, got hmax 1e-07, hmin 1e-06"),
         (["--n", "0"], "n must be at least 1, got 0"),
         (["--hcount", "2"], "need at least 4 h values to estimate an order, got 2"),
+        (["--hcount", "-1"], "--hcount: need at least 4 h values to estimate an order, got -1"),
     ],
 )
 def test_convergence_rejects_bad_study_arguments_early(monkeypatch, capsys, flags, message):

@@ -367,9 +367,9 @@ def test_airy_level0_coefficient():
     # l20 = (x0+y0) - (l10^2 + l01^2)/2
     x0, y0 = 0.3, -0.1
     op = AIRY.instantiate((x0, y0), q=2)
-    fact = check_hypotheses(op).hyp2
-    norm = GpwNormalization(theta=0.9, kappa=1.7, factorization=fact)
-    gpw = construct_gpw(op, [norm])[0]
+    # A = D = I for Airy, so the kappa=1.7 pair of direction 0.9 is explicit
+    pair = {(1, 0): 1.7j * math.cos(0.9), (0, 1): 1.7j * math.sin(0.9)}
+    gpw = construct_gpw(op, [GpwNormalization(fixed_values=pair)])[0]
     l10, l01 = gpw.first_order_pair()
     want = (x0 + y0) - 0.5 * (l10**2 + l01**2)
     assert gpw[(2, 0)] == pytest.approx(want, rel=1e-13)
@@ -426,13 +426,30 @@ def test_constructed_residual_with_random_fixed_values():
             assert res.max_abs() < 1e-11 * scale
 
 
+def test_order_four_operator_is_not_a_hypothesis_failure():
+    # no order-2 symbol is a property of the operator, not of the center, so
+    # it must not raise the error a convergence study redraws the center on
+    fam = OperatorFamily(
+        M=4,
+        terms={
+            (4, 0): "1 + 0.2*sin(y)",
+            (0, 4): "2 + 0.1*cos(x)",
+            (0, 0): "-(3 + 0.2*sin(y) + 0.1*cos(x))",
+        },
+    )
+    op = fam.instantiate((0.3, 0.4), q=2)
+    with pytest.raises(ValueError, match="M=4") as info:
+        build_basis(op, 3)
+    assert not isinstance(info.value, HypothesisError)
+
+
 def test_type_changing_operator_with_explicit_pair():
     # degenerate symbol at the center: factorization is unusable, but an
     # explicit first-order pair needs only the nonvanishing leading term
     fam = OperatorFamily(M=2, terms={(2, 0): "1", (0, 2): "x**3"})
     op = fam.instantiate((0.0, 0.0), q=3)
-    assert check_hypotheses(op).hyp1
-    assert check_hypotheses(op).hyp2 is None
+    with pytest.raises(HypothesisError, match="no usable symbol factorization at the center"):
+        check_hypotheses(op)
     norm = GpwNormalization(fixed_values={(1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j})
     gpw = construct_gpw(op, [norm])[0]
     res = residual_series(op, gpw.phase, 2)
@@ -444,9 +461,7 @@ def test_type_changing_operator_with_explicit_pair():
 def test_solving_level0_only_leaves_longer_cells():
     op = AIRY.instantiate((0.3, 0.4), q=1, coeff_order=2)
     basis_op = AIRY.instantiate((0.3, 0.4), q=1)
-    gpw = construct_gpw(
-        basis_op, [GpwNormalization(factorization=check_hypotheses(basis_op).hyp2)]
-    )[0]
+    gpw = construct_gpw(basis_op, [GpwNormalization()])[0]
     padded = gpw.phase.with_order(3)
     res = residual_series(op, padded, 1)
     assert abs(res[(0, 0)]) < 1e-13
@@ -469,9 +484,7 @@ def test_quadratic_identity_on_first_order_pair():
 
 def test_counting_matches_solved_coefficients():
     op = MIXED.instantiate((0.2, 0.1), q=3)
-    gpw = construct_gpw(
-        op, [GpwNormalization(factorization=check_hypotheses(op).hyp2)]
-    )[0]
+    gpw = construct_gpw(op, [GpwNormalization()])[0]
     n_dof, n_eqn, n_fixed = dof_counts(2, 3)
     assert tri_size(gpw.degree) == n_dof
     solved = sum(1 for i, j in graded_indices(gpw.degree) if i >= 2)
@@ -513,27 +526,25 @@ def test_kappa_policy():
 
 def test_normalization_errors():
     op = helmholtz().instantiate((0.0, 0.0), q=2)
-    fact = check_hypotheses(op).hyp2
-    with pytest.raises(ValueError, match="kappa"):
-        construct_gpw(op, [GpwNormalization(kappa=0.0, factorization=fact)])[0]
+    degenerate = OperatorFamily(M=2, terms={(2, 0): "1", (0, 2): "x**3"})
     with pytest.raises(ValueError, match="factorization"):
-        construct_gpw(op, [GpwNormalization()])[0]
+        construct_gpw(degenerate.instantiate((0.0, 0.0), q=2), [GpwNormalization()])[0]
     with pytest.raises(ValueError, match="both"):
         construct_gpw(op, [GpwNormalization(fixed_values={(1, 0): 1.0})])[0]
     with pytest.raises(ValueError, match="constant"):
         construct_gpw(
             op,
-            [GpwNormalization(factorization=fact, fixed_values={(0, 0): 1.0})],
+            [GpwNormalization(fixed_values={(0, 0): 1.0})],
         )[0]
     with pytest.raises(ValueError, match="solved"):
         construct_gpw(
             op,
-            [GpwNormalization(factorization=fact, fixed_values={(2, 0): 1.0})],
+            [GpwNormalization(fixed_values={(2, 0): 1.0})],
         )[0]
     with pytest.raises(ValueError, match="degree"):
         construct_gpw(
             op,
-            [GpwNormalization(factorization=fact, fixed_values={(0, 9): 1.0})],
+            [GpwNormalization(fixed_values={(0, 9): 1.0})],
         )[0]
 
 
@@ -554,10 +565,12 @@ def test_leading_coefficient_threshold_is_hyp1_rtol():
         op = OperatorFamily(M=2, terms={(2, 0): repr(lead), (0, 2): "1"}).instantiate(
             (0.0, 0.0), q=2
         )
-        assert check_hypotheses(op).hyp1 is accepted
         if accepted:
+            check_hypotheses(op)
             assert construct_gpw(op, [pair])[0].degree == 3
         else:
+            with pytest.raises(HypothesisError, match="leading"):
+                check_hypotheses(op)
             with pytest.raises(HypothesisError, match="leading"):
                 construct_gpw(op, [pair])
 
@@ -566,8 +579,6 @@ def test_build_basis_argument_errors():
     op = helmholtz().instantiate((0.0, 0.0), q=2)
     with pytest.raises(ValueError, match="p"):
         build_basis(op, 0)
-    with pytest.raises(ValueError, match="kappa"):
-        build_basis(op, 3, kappa=0.0)
 
 
 # --- serialization ------------------------------------------------------------
@@ -575,9 +586,7 @@ def test_build_basis_argument_errors():
 
 def test_serialize_parse_roundtrip():
     op = MIXED.instantiate((0.25, -0.75), q=3)
-    gpw = construct_gpw(
-        op, [GpwNormalization(theta=1.1, factorization=check_hypotheses(op).hyp2)]
-    )[0]
+    gpw = construct_gpw(op, [GpwNormalization(theta=1.1)])[0]
     text = serialize_gpw(gpw)
     center, M, q, values = parse_gpw_text(text)
     assert center == gpw.center
@@ -591,9 +600,7 @@ def test_parse_rejects_malformed_text():
     with pytest.raises(ValueError, match="header"):
         parse_gpw_text("0 0 1.0 0.0\n")
     op = helmholtz().instantiate((0.0, 0.0), q=1)
-    gpw = construct_gpw(
-        op, [GpwNormalization(factorization=check_hypotheses(op).hyp2)]
-    )[0]
+    gpw = construct_gpw(op, [GpwNormalization()])[0]
     text = serialize_gpw(gpw)
     truncated = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(ValueError, match="coefficients"):
@@ -606,12 +613,8 @@ def test_parse_rejects_malformed_text():
 
 
 def _standard_norms(op, p):
-    fact = check_hypotheses(op).hyp2
-    kappa = kappa_from_zeroth(op)
-    return [
-        GpwNormalization(theta=theta, kappa=kappa, factorization=fact)
-        for theta in basis_angles(p)
-    ]
+    check_hypotheses(op)  # raises unless both hypotheses hold at the center
+    return [GpwNormalization(theta=theta) for theta in basis_angles(p)]
 
 
 @pytest.mark.parametrize(
