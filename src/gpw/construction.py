@@ -65,9 +65,10 @@ def level_matrix(op: PdeOperator, L: int) -> np.ndarray:
     T = np.zeros((n, n), dtype=complex)
     for i in range(M):
         T[i, i] = 1.0
+    lead = [op.coefficient_at_center(k, M - k) for k in range(M + 1)]
     for I in range(L + 1):
         for k in range(M + 1):
-            T[M + I, I + k] = pi_weight(k, I, M, L) * op.coefficient_at_center(k, M - k)
+            T[M + I, I + k] = pi_weight(k, I, M, L) * lead[k]
     return T
 
 

@@ -10,10 +10,11 @@ and applies the induced operator on phases,
     P  |->  L(e^P) / e^P - c_{0,0},
 
 as truncated series arithmetic.  The derivative ratios E_{k,l} =
-d_x^k d_y^l(e^P)/e^P satisfy E_{k+1,l} = d_x E_{k,l} + (d_x P) E_{k,l},
-which costs polynomially many series operations; the partition-sum route in
-the test oracle `tests/faa_oracle.py` computes the same object
-combinatorially.
+d_x^k d_y^l(e^P)/e^P start at E_{1,0} = d_x P, E_{0,1} = d_y P and satisfy
+E_{k+1,l} = d_x E_{k,l} + (d_x P) E_{k,l}; each term c_{k,l} E_{k,l} is then
+one matrix product of the ratio rows with the multiplication matrix of
+c_{k,l}.  The partition-sum route in the test oracle `tests/faa_oracle.py`
+computes the same object combinatorially.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import numpy as np
 from gpw.taylor2d import (
     Index,
     TaylorSeries2,
+    mul_matrix,
+    tri_size,
     ts_constant,
     ts_coordinate,
     ts_cos,
@@ -78,6 +81,8 @@ class PdeOperator:
         for (k, l), series in self.coeffs.items():
             if k < 0 or l < 0 or k + l > self.M:
                 raise ValueError(f"coefficient index ({k},{l}) outside order {self.M}")
+            if series.coeffs.ndim != 1:
+                raise ValueError(f"coefficient ({k},{l}) is a batch of shape {series.coeffs.shape}")
             if series.center != self.center:
                 raise ValueError(
                     f"coefficient ({k},{l}) centered at {series.center}, "
@@ -186,8 +191,8 @@ def apply_phase_operator(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSer
             raise ValueError(f"coefficient ({k},{l}) order {series.order} < {Q}")
     dx_phase = ts_derive(P, (1, 0))
     dy_phase = ts_derive(P, (0, 1))
-    ratios: dict[Index, TaylorSeries2] = {(0, 0): ts_constant(1.0, op.center, P.order)}
-    for s in range(1, op.M + 1):
+    ratios: dict[Index, TaylorSeries2] = {(1, 0): dx_phase, (0, 1): dy_phase}
+    for s in range(2, op.M + 1):
         for k in range(s, -1, -1):
             l = s - k
             if k:
@@ -197,15 +202,15 @@ def apply_phase_operator(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSer
                 prev = ratios[(0, l - 1)]
                 step = ts_derive(prev, (0, 1)) + ts_mul(dy_phase, prev, order=prev.order - 1)
             ratios[(k, l)] = step
-    total = None
+    n, total = tri_size(Q), None
     for (k, l), series in op.coeffs.items():
         if k + l < 1:
             continue
-        term = ts_mul(series, ratios[(k, l)], order=Q)
+        term = ratios[(k, l)].coeffs[..., :n] @ mul_matrix(series, Q).T
         total = term if total is None else total + term
     if total is None:
         raise ValueError("operator has no derivative terms")
-    return total
+    return TaylorSeries2(op.center, Q, total)
 
 
 def residual_series(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSeries2:

@@ -80,6 +80,15 @@ def _toeplitz_plan(order: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=None)
+def _mul_matrix_plan(order: int) -> np.ndarray:
+    """Gather indices into a flat triangle with one zero appended: [out, in]
+    picks out - in when in <= out componentwise, the zero otherwise."""
+    ii, jj = _triangle_ij(order)
+    di, dj = ii[:, None] - ii, jj[:, None] - jj
+    return np.where((di >= 0) & (dj >= 0), (di + dj) * (di + dj + 1) // 2 + dj, tri_size(order))
+
+
+@lru_cache(maxsize=None)
 def _derive_plan(order: int, d: Index) -> tuple[np.ndarray, np.ndarray]:
     # source offset and binomial weight of each output cell of ts_derive
     di, dj = d
@@ -240,6 +249,16 @@ def ts_mul(a: TaylorSeries2, b: TaylorSeries2, order: int | None = None) -> Tayl
         block += out[..., u:, :m]
         out[..., u:, :m] = block
     return TaylorSeries2(a.center, q, out[..., ii, jj])
+
+
+def mul_matrix(a: TaylorSeries2, order: int) -> np.ndarray:
+    """Matrix C of multiplication by the single series a, truncated at order:
+    C[out, in] = a[out - in], so coeffs[..., :tri_size(order)] @ C.T is the
+    product of a (batch of) series with a."""
+    _require_single(a)
+    if order > a.order:
+        raise ValueError(f"truncation order {order} exceeds input order {a.order}")
+    return np.append(a.coeffs[: tri_size(order)], 0)[_mul_matrix_plan(order)]
 
 
 def ts_derive(a: TaylorSeries2, d: Index) -> TaylorSeries2:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from faa_oracle import mi_sort_key
-from gpw.taylor2d import indices, ts_from_dict
+from gpw.taylor2d import indices, ts_constant, ts_derive, ts_from_dict, ts_mul
 
 
 def term_sum(series, x, y):
@@ -64,3 +64,28 @@ def ts_affine(c0, cx, cy, center, order: int):
         values[(1, 0)] = cx
         values[(0, 1)] = cy
     return ts_from_dict(center, order, values)
+
+
+def apply_phase_operator_by_products(op, P, Q: int):
+    """L(e^P)/e^P - c_{0,0} through the derivative-ratio recurrence started
+    at E_{0,0} = 1, with every product, the coefficient terms included, a
+    ts_mul."""
+    dx_phase = ts_derive(P, (1, 0))
+    dy_phase = ts_derive(P, (0, 1))
+    ratios = {(0, 0): ts_constant(1.0, op.center, P.order)}
+    for s in range(1, op.M + 1):
+        for k in range(s, -1, -1):
+            l = s - k
+            if k:
+                prev = ratios[(k - 1, l)]
+                step = ts_derive(prev, (1, 0)) + ts_mul(dx_phase, prev, order=prev.order - 1)
+            else:
+                prev = ratios[(0, l - 1)]
+                step = ts_derive(prev, (0, 1)) + ts_mul(dy_phase, prev, order=prev.order - 1)
+            ratios[(k, l)] = step
+    total = None
+    for (k, l), series in op.coeffs.items():
+        if k + l >= 1:
+            term = ts_mul(series, ratios[(k, l)], order=Q)
+            total = term if total is None else total + term
+    return total

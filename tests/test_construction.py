@@ -39,6 +39,7 @@ from gpw.operators import (
 )
 from gpw.taylor2d import TaylorSeries2, graded_indices, index_of, tri_size
 from faa_oracle import phase_operator_series_oracle
+from series_oracles import apply_phase_operator_by_products
 
 
 # --- oracles ---------------------------------------------------------------
@@ -638,8 +639,11 @@ def test_construct_gpw_needs_a_normalization():
         construct_gpw(op, [])
 
 
-@pytest.mark.parametrize("q", [8, 12])
+@pytest.mark.parametrize("q", [8, 12, 16, 20])
 def test_defining_property_at_high_q(q):
+    # checked twice: with residual_series, which the construction itself
+    # calls, and with the all-ts_mul recurrence, so that a fault the two
+    # share cannot hide
     rng = np.random.default_rng(q)
     for name in ("Ad", "Jc", "JJ", "cs"):
         case = case_by_name(name)
@@ -648,11 +652,13 @@ def test_defining_property_at_high_q(q):
             basis = build_basis(op, 2 * q + 3)
             # the whole basis goes through the residual as one batch
             phases = np.stack([gpw.phase.coeffs for gpw in basis.functions])
-            res = residual_series(op, TaylorSeries2(op.center, q + 1, phases), q - 1)
-            rel = np.max(np.abs(res.coeffs), axis=-1) / np.maximum(
-                1.0, np.max(np.abs(phases), axis=-1)
-            )
-            assert np.max(rel) < 1e-11, (name, center)
+            P = TaylorSeries2(op.center, q + 1, phases)
+            oracle = apply_phase_operator_by_products(op, P, q - 1)
+            oracle += op.coeffs[(0, 0)].with_order(q - 1)
+            scale = np.maximum(1.0, np.max(np.abs(phases), axis=-1))
+            for res in (residual_series(op, P, q - 1), oracle):
+                rel = np.max(np.abs(res.coeffs), axis=-1) / scale
+                assert np.max(rel) < 1e-11, (name, center)
 
 
 GOLDEN = Path(__file__).with_name("golden_phases.json")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpw.operators import (
     HypothesisError,
@@ -24,6 +26,7 @@ from gpw.taylor2d import (
     ts_zero,
 )
 from faa_oracle import phase_operator_series_oracle
+from series_oracles import apply_phase_operator_by_products
 
 
 def helmholtz(center, q=2, coeff_order=None, kappa=1.0):
@@ -168,6 +171,13 @@ def test_symbol_matrix_requires_order_two():
         principal_symbol_matrix(fam.instantiate((0.0, 0.0), 1))
 
 
+def test_operator_rejects_a_batched_coefficient():
+    center = (0.0, 0.0)
+    batch = TaylorSeries2(center, 1, np.ones((2, tri_size(1))))
+    with pytest.raises(ValueError, match=r"coefficient \(1,1\) is a batch of shape \(2, 3\)"):
+        PdeOperator(M=2, center=center, coeffs={(2, 0): ts_constant(1.0, center, 1), (1, 1): batch}, q=1)
+
+
 # ---------------------------------------------------------------------------
 # phase operator application
 
@@ -244,6 +254,29 @@ def test_matches_partition_oracle(M):
         want = phase_operator_series_oracle(op.coeffs, M, P, Q)
         scale = max(1.0, want.max_abs())
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-12, atol=1e-12 * scale)
+
+
+@given(
+    st.integers(2, 4), st.integers(0, 10), st.integers(0, 4), st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=60, deadline=None)
+def test_matches_product_recurrence(M, Q, p, seed):
+    # p == 0 draws a single phase, p >= 1 a batch of p phases; the operator
+    # keeps a random nonempty subset of its derivative terms
+    rng = np.random.default_rng(seed)
+    center = (0.3, -0.7)
+    op = random_operator(rng, M, center, Q + int(rng.integers(0, 3)))
+    keep = rng.random(len(op.coeffs)) < 0.7
+    keep[rng.integers(len(keep))] = True
+    coeffs = {kl: c for (kl, c), kept in zip(op.coeffs.items(), keep) if kept}
+    op = PdeOperator(M=M, center=center, coeffs=coeffs, q=1)
+    order = Q + M + int(rng.integers(0, 3))
+    shape = (p, tri_size(order)) if p else (tri_size(order),)
+    P = TaylorSeries2(center, order, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    got = apply_phase_operator(op, P, Q)
+    want = apply_phase_operator_by_products(op, P, Q)
+    assert got.coeffs.shape == want.coeffs.shape
+    np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13 * want.max_abs())
 
 
 @pytest.mark.parametrize("M", [2, 3])

@@ -11,6 +11,7 @@ from gpw.taylor2d import (
     graded_indices,
     index_of,
     indices,
+    mul_matrix,
     tri_size,
     ts_constant,
     ts_coordinate,
@@ -516,6 +517,27 @@ def test_batched_add_sub_match_rows(a, b):
         np.testing.assert_array_equal((A - B).coeffs[r], (ra - rb).coeffs)
         np.testing.assert_array_equal((A + single).coeffs[r], (ra + single).coeffs)
         np.testing.assert_array_equal((single - A).coeffs[r], (single - ra).coeffs)
+
+
+@given(batched_series(), batched_series(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mul_matrix_product_matches_ts_mul(a, b, data):
+    (qa, arr_a), (qb, arr_b) = a, b
+    order = data.draw(st.integers(0, min(qa, qb)))
+    single = TaylorSeries2(C0, qa, arr_a[0])
+    C = mul_matrix(single, order)
+    assert C.shape == (tri_size(order),) * 2
+    for B in (TaylorSeries2(C0, qb, arr_b), TaylorSeries2(C0, qb, arr_b[0])):
+        got = B.coeffs[..., : tri_size(order)] @ C.T
+        want = ts_mul(single, B, order=order).coeffs
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
+
+def test_mul_matrix_rejects_batches_and_high_orders():
+    with pytest.raises(ValueError, match="single series"):
+        mul_matrix(TaylorSeries2(C0, 2, np.zeros((3, tri_size(2)))), 2)
+    with pytest.raises(ValueError, match="exceeds input order"):
+        mul_matrix(ts_zero(C0, 2), 3)
 
 
 def test_single_series_operations_reject_batches():
