@@ -8,7 +8,7 @@ slope over the pre-stagnation window, with ``*`` marking cells whose error
 curve hits a detectable stagnation floor.  Use ``--centers 10`` for a quick
 look, and ``--out`` to keep every per-h error curve.
 
-Takes about 14 s for all four cases at the default 50 centers (2 vCPUs).
+Takes about 15 s for all four cases at the default 50 centers (2 vCPUs).
 """
 
 import argparse

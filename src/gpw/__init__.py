@@ -11,7 +11,6 @@ from gpw.bench import (
     disk_points,
     draw_centers,
     emit_report,
-    estimate_order,
     exact_solution_taylor,
     read_report_csv,
     run_convergence,
@@ -77,7 +76,6 @@ __all__ = [
     "disk_points",
     "draw_centers",
     "emit_report",
-    "estimate_order",
     "exact_solution_taylor",
     "kappa_from_zeroth",
     "numeric_rank",

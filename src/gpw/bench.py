@@ -335,14 +335,21 @@ def draw_centers(
     return centers
 
 
-def disk_points(center: tuple[float, float], h: float) -> tuple[np.ndarray, np.ndarray]:
+def disk_points(
+    center: tuple[float, float], h: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic polar sampling of the closed disk of radius h: 8 radii
-    times 32 angles, plus the center itself (257 points)."""
-    radii = h * np.arange(1, SAMPLE_RADII + 1) / SAMPLE_RADII
+    times 32 angles, plus the center itself (257 points).  For an array of
+    radii, the disks follow one another in its order."""
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    radii = h[:, None] * np.arange(1, SAMPLE_RADII + 1) / SAMPLE_RADII
     angles = 2 * math.pi * np.arange(SAMPLE_ANGLES) / SAMPLE_ANGLES
-    xs = center[0] + np.outer(radii, np.cos(angles)).ravel()
-    ys = center[1] + np.outer(radii, np.sin(angles)).ravel()
-    return np.concatenate(([center[0]], xs)), np.concatenate(([center[1]], ys))
+    xs = np.empty((h.size, SAMPLE_RADII * SAMPLE_ANGLES + 1))
+    ys = np.empty_like(xs)
+    xs[:, 0], ys[:, 0] = center
+    xs[:, 1:] = center[0] + np.outer(radii, np.cos(angles)).reshape(h.size, -1)
+    ys[:, 1:] = center[1] + np.outer(radii, np.sin(angles)).reshape(h.size, -1)
+    return xs.ravel(), ys.ravel()
 
 
 # --- convergence studies ------------------------------------------------------
@@ -377,12 +384,6 @@ class ConvergenceReport:
         object.__setattr__(self, "errors", errors)
         object.__setattr__(self, "slope", float(self.slope))
         object.__setattr__(self, "floor", float(self.floor))
-
-
-@dataclass(frozen=True)
-class OrderEstimate:
-    slope: float
-    floor: float
 
 
 def _slope_and_floor(h: np.ndarray, errors: np.ndarray) -> tuple[float, float]:
@@ -420,13 +421,6 @@ def _require_fit_grid(h: np.ndarray) -> None:
         raise ValueError(
             f"need at least {MIN_H_VALUES} h values to estimate an order, got {h.size}"
         )
-
-
-def estimate_order(report: ConvergenceReport) -> OrderEstimate:
-    """Fitted log-log slope over the pre-stagnation window, plus the floor."""
-    _require_fit_grid(report.h)
-    slope, floor = _slope_and_floor(report.h, report.errors)
-    return OrderEstimate(slope=slope, floor=floor)
 
 
 def run_convergence(
@@ -487,13 +481,13 @@ def run_convergence(
             continue
         F = exact_solution_taylor(case, center, n)
         mat = assemble_gpw_matrix(basis, n)
-        disks = [disk_points(center, hv) for hv in h]
-        xs = np.concatenate([disk[0] for disk in disks])
-        ys = np.concatenate([disk[1] for disk in disks])
+        xs, ys = disk_points(center, h)
         exact = case.values(center, xs, ys)
-        members = np.column_stack(
-            [np.exp(fn.phase(xs, ys)) for fn in basis.functions]
+        phases = TaylorSeries2(
+            center, basis.functions[0].degree, [fn.phase.coeffs for fn in basis.functions]
         )
+        members = phases(xs, ys).T  # one column per basis member
+        np.exp(members, out=members)
         errs = np.empty(h.size)
         for k, hv in enumerate(h):
             # rcond=None: the weighted rows span many orders of magnitude by

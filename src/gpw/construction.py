@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +57,12 @@ def pi_weight(k: int, I: int, M: int, L: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _pi_weights(M: int, L: int) -> tuple[tuple[int, ...], ...]:
+    # row I holds pi_weight(k, I, M, L) for k = 0..M
+    return tuple(tuple(pi_weight(k, I, M, L) for k in range(M + 1)) for I in range(L + 1))
+
+
 def level_matrix(op: PdeOperator, L: int) -> np.ndarray:
     """Square system of level L: identity rows for the fixed layer entries,
     then one weighted row per unknown; lower triangular by construction.
@@ -66,9 +73,9 @@ def level_matrix(op: PdeOperator, L: int) -> np.ndarray:
     for i in range(M):
         T[i, i] = 1.0
     lead = [op.coefficient_at_center(k, M - k) for k in range(M + 1)]
-    for I in range(L + 1):
+    for I, weights in enumerate(_pi_weights(M, L)):
         for k in range(M + 1):
-            T[M + I, I + k] = pi_weight(k, I, M, L) * lead[k]
+            T[M + I, I + k] = weights[k] * lead[k]
     return T
 
 

@@ -153,5 +153,6 @@ def evaluate_from_stack(stack: list[float], t0: float, t):
     dt = np.asarray(t, dtype=float) - t0
     acc = np.zeros_like(dt)
     for m in reversed(range(len(stack))):
-        acc = acc * dt + stack[m] / math.factorial(m)
-    return acc
+        acc *= dt
+        acc += stack[m] / math.factorial(m)
+    return acc[()]  # a scalar t gives a scalar

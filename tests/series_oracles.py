@@ -10,7 +10,8 @@ from gpw.taylor2d import indices, ts_constant, ts_derive, ts_from_dict, ts_mul
 
 def term_sum(series, x, y):
     """The Taylor polynomial summed term by term: every coefficient times
-    its own dx**i * dy**j.  Slow and independent of Horner's nesting."""
+    its own dx**i * dy**j.  Slow and independent of the evaluator's
+    monomial table."""
     dx = np.asarray(x) - series.center[0]
     dy = np.asarray(y) - series.center[1]
     out = np.zeros(np.broadcast(dx, dy).shape, dtype=complex)

@@ -22,7 +22,6 @@ from gpw.bench import (
     disk_points,
     draw_centers,
     emit_report,
-    estimate_order,
     exact_solution_taylor,
     read_report_csv,
     run_convergence,
@@ -183,6 +182,16 @@ def test_disk_points_pattern():
     assert np.all(r <= 0.125 * (1 + 1e-12))
 
 
+def test_disk_points_of_many_radii_concatenate_the_single_disks():
+    center = (1.7, -0.3)
+    h = np.logspace(0.0, -6.0, 12)
+    xs, ys = disk_points(center, h)
+    single = [disk_points(center, hv) for hv in h]
+    assert np.array_equal(xs, np.concatenate([d[0] for d in single]))
+    assert np.array_equal(ys, np.concatenate([d[1] for d in single]))
+    assert xs.shape == (12 * 257,)
+
+
 # --- order estimation ------------------------------------------------------------
 
 
@@ -194,18 +203,24 @@ def _synthetic_report(h, errors):
     )
 
 
+def estimate_order(report):
+    """(slope, floor) of a report's errors, fitted as run_convergence fits them."""
+    gpw.bench._require_fit_grid(report.h)
+    return gpw.bench._slope_and_floor(report.h, report.errors)
+
+
 def test_estimate_order_pure_power():
     h = np.logspace(0, -6, 12)
-    est = estimate_order(_synthetic_report(h, h**3))
-    assert est.slope == pytest.approx(3.0, abs=1e-6)
-    assert est.floor == 0.0
+    slope, floor = estimate_order(_synthetic_report(h, h**3))
+    assert slope == pytest.approx(3.0, abs=1e-6)
+    assert floor == 0.0
 
 
 def test_estimate_order_with_floor():
     h = np.logspace(0, -6, 12)
-    est = estimate_order(_synthetic_report(h, np.maximum(h**3, 1e-13)))
-    assert est.slope == pytest.approx(3.0, abs=1e-6)
-    assert est.floor == pytest.approx(1e-13, rel=1e-12)
+    slope, floor = estimate_order(_synthetic_report(h, np.maximum(h**3, 1e-13)))
+    assert slope == pytest.approx(3.0, abs=1e-6)
+    assert floor == pytest.approx(1e-13, rel=1e-12)
 
 
 def test_estimate_order_preconditions():

@@ -192,6 +192,24 @@ def test_level_matrix_lower_triangular():
             assert np.array_equal(T, np.tril(T))
 
 
+def test_level_matrix_matches_the_per_cell_formula():
+    # the cached weight table gives the same matrices, bit for bit, as
+    # pi_weight evaluated afresh for every cell
+    rng = np.random.default_rng(5)
+    for M in (2, 3, 4):
+        terms = {(k, M - k): f"{rng.uniform(-2.0, 2.0)!r}" for k in range(M + 1)}
+        op = OperatorFamily(M=M, terms=terms).instantiate((0.3, -0.2), q=7)
+        lead = [op.coefficient_at_center(k, M - k) for k in range(M + 1)]
+        for L in range(7):
+            want = np.zeros((M + L + 1, M + L + 1), dtype=complex)
+            want[range(M), range(M)] = 1.0
+            for I in range(L + 1):
+                for k in range(M + 1):
+                    want[M + I, I + k] = pi_weight(k, I, M, L) * lead[k]
+            got = level_matrix(op, L)
+            assert np.array_equal(got.view(float), want.view(float))
+
+
 def test_level_matrix_determinant_product_formula():
     rng = np.random.default_rng(11)
     for M in (2, 3, 4):

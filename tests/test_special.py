@@ -150,3 +150,17 @@ def test_evaluate_from_stack_scalar_and_exactness():
     # stack m! * coefficients of 2 + 3 t + 5 t^2 about t0 = 0.
     got = evaluate_from_stack([2.0, 3.0, 10.0], 0.0, 4.0)
     assert got == pytest.approx(2 + 3 * 4 + 5 * 16, rel=0, abs=0)
+
+
+def test_evaluate_from_stack_equals_the_out_of_place_loop():
+    # the in-place update rounds exactly as acc = acc * dt + term does
+    x0 = 2.5
+    stack = bessel_derivative_stack(0, x0, 40)
+    xs = np.linspace(0.6, 4.4, 257)
+    dt = xs - x0
+    want = np.zeros_like(dt)
+    for m in reversed(range(len(stack))):
+        want = want * dt + stack[m] / math.factorial(m)
+    assert np.array_equal(evaluate_from_stack(stack, x0, xs), want)
+    scalar = evaluate_from_stack(stack, x0, xs[7])
+    assert type(scalar) is np.float64 and scalar == want[7]

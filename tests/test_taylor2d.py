@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpw.taylor2d import (
+    EVAL_BLOCK,
     TaylorSeries2,
     graded_indices,
     index_of,
@@ -544,8 +545,6 @@ def test_single_series_operations_reject_batches():
     batch = TaylorSeries2(C0, 2, np.zeros((3, tri_size(2))))
     with pytest.raises(ValueError, match="single series"):
         batch[(0, 0)]
-    with pytest.raises(ValueError, match="single series"):
-        batch(0.0, 0.0)
     with pytest.raises(ValueError):
         TaylorSeries2(C0, 2, np.zeros((3, tri_size(2) + 1)))
 
@@ -575,7 +574,7 @@ def test_batched_exp_names_the_row_with_a_constant_term():
 
 
 # ---------------------------------------------------------------------------
-# evaluation: Horner against the term-by-term sum
+# evaluation against the term-by-term sum
 
 
 @st.composite
@@ -619,3 +618,41 @@ def test_horner_evaluation_matches_term_sum(case):
     cx, cy = series.center
     assert series(cx, cy) == series.coeffs[0]
     assert series(np.array([cx, cx + 0.5]), cy)[0] == series.coeffs[0]
+
+
+@st.composite
+def batch_and_points(draw):
+    """(series, x, y): a batch of shape (1,), (3,) or (2, 2) over orders
+    0..17, and points given as a scalar, a short array, or an array of more than
+    two EVAL_BLOCKs with the center as its last point."""
+    order = draw(st.integers(0, 17))
+    batch = draw(st.sampled_from([(1,), (3,), (2, 2)]))
+    count = int(np.prod(batch)) * tri_size(order)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
+    center = tuple(draw(st.floats(min_value=-3.0, max_value=3.0)) for _ in range(2))
+    series = TaylorSeries2(center, order, arr.reshape(batch + (tri_size(order),)))
+    kind = draw(st.sampled_from(["scalar", "short", "blocks"]))
+    if kind == "scalar":
+        return series, center[0] + rng.uniform(-1.5, 1.5), center[1] + rng.uniform(-1.5, 1.5)
+    n = draw(st.integers(1, 6)) if kind == "short" else 2 * EVAL_BLOCK + 3
+    x, y = center[0] + rng.uniform(-1.5, 1.5, n), center[1] + rng.uniform(-1.5, 1.5, n)
+    x[-1], y[-1] = center
+    return series, x, y
+
+
+@given(batch_and_points())
+@settings(max_examples=60, deadline=None)
+def test_batched_evaluation_matches_term_sum_row_by_row(case):
+    series, x, y = case
+    got = series(x, y)
+    batch = series.coeffs.shape[:-1]
+    assert got.shape == batch + np.shape(x)
+    rows = series.coeffs.reshape(-1, series.coeffs.shape[-1])
+    for value, coeffs in zip(got.reshape((len(rows),) + np.shape(x)), rows):
+        row = TaylorSeries2(series.center, series.order, coeffs)
+        bound = 1e-13 * term_magnitude(row, x, y) + np.finfo(float).tiny
+        assert np.all(np.abs(value - term_sum(row, x, y)) <= bound)
+        if np.ndim(x):
+            assert value[-1] == coeffs[0]
+    assert np.all(series(*series.center) == series.coeffs[..., 0])
