@@ -15,7 +15,13 @@ import argparse
 import sys
 import warnings
 
-from gpw.bench import CASE_NAMES, case_by_name, emit_report, run_convergence
+from gpw.bench import (
+    CASE_NAMES,
+    REPORT_FORMATS,
+    case_by_name,
+    emit_report,
+    run_convergence,
+)
 
 ORDERS = (1, 2, 3, 4, 5)
 TANGENCIES = (1, 2, 3, 4)
@@ -30,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument("--centers", type=int, default=50)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write all per-h error curves here")
-    parser.add_argument("--format", choices=("csv", "plotdata"), default="csv")
+    parser.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     args = parser.parse_args(argv)
 
     reports = []

@@ -28,7 +28,7 @@ from .special import (
     bessel_derivative_stack,
     evaluate_from_stack,
 )
-from .taylor2d import TaylorSeries2, indices, tri_size, ts_derive, ts_mul, ts_zero
+from .taylor2d import TaylorSeries2, indices, ts_derive, ts_mul, ts_zero
 
 logger = logging.getLogger(__name__)
 
@@ -49,19 +49,23 @@ MIN_H_VALUES = 4  # fewest radii an order can be fitted through
 
 CASE_NAMES = ("Ad", "Jc", "JJ", "cs")  # builtin_cases(), in order
 CSV_HEADER = "case,n,q,p,seed,h,max_err,slope,floor"
+REPORT_FORMATS = ("csv", "plotdata")  # emit_report's formats
 
 Domain = tuple[float, float, float, float]  # x_lo, x_hi, y_lo, y_hi
+Expansion = tuple[Callable[[int, int], float], Callable[..., np.ndarray]]  # cell, values
 
 
 @dataclass(frozen=True)
 class TestCase:
     """One benchmark problem: operator family, domain, and exact solution.
 
-    ``taylor`` returns the scaled Taylor coefficients of the solution at a
-    center, through a requested order, in flat triangular layout; ``values``
-    evaluates the solution on point arrays near a center.  ``printed_family``
-    carries a published-but-wrong variant of the operator, kept so the
-    validator can demonstrate the failure (only the ``Jc`` case has one).
+    ``expand(center, order)`` builds the solution's derivative stacks at a
+    center once, through ``order`` >= LOCAL_EXPANSION_ORDER, and returns the
+    pair ``(cell, values)``: ``cell(i, j)`` is the unscaled Taylor cell
+    d^i_x d^j_y u at the center (i + j <= order), ``values(xs, ys)`` the
+    solution on points near the center from 40-term local expansions.
+    ``printed_family`` carries a published-but-wrong variant of the operator,
+    kept so the validator can demonstrate the failure (only ``Jc`` has one).
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -69,77 +73,54 @@ class TestCase:
     name: str
     family: OperatorFamily
     domain: Domain
-    taylor: Callable[[tuple[float, float], int], np.ndarray]
-    values: Callable[[tuple[float, float], np.ndarray, np.ndarray], np.ndarray]
+    expand: Callable[[tuple[float, float], int], Expansion]
     printed_family: OperatorFamily | None = None
 
     def diameter(self) -> float:
         x_lo, x_hi, y_lo, y_hi = self.domain
         return math.hypot(x_hi - x_lo, y_hi - y_lo)
 
-
-def _triangle(n: int, cell: Callable[[int, int], float]) -> np.ndarray:
-    return np.array([cell(i, j) for i, j in indices(n)], dtype=float)
-
-
-def _airy_taylor(center, n):
-    stack = airy_derivative_stack(center[0] + center[1], n)
-    return _triangle(
-        n, lambda i, j: stack[i + j] / (math.factorial(i) * math.factorial(j))
-    )
+    def values(self, center: tuple[float, float], xs, ys) -> np.ndarray:
+        """The exact solution on point arrays near the center."""
+        return self.expand(center, LOCAL_EXPANSION_ORDER)[1](xs, ys)
 
 
-def _airy_values(center, xs, ys):
+def _local_values(stack: list[float], t0: float) -> Callable[..., np.ndarray]:
+    local = stack[: LOCAL_EXPANSION_ORDER + 1]  # 40 terms, however long the stack
+    return lambda t: evaluate_from_stack(local, t0, t)
+
+
+def _airy_expand(center, order) -> Expansion:
     z0 = center[0] + center[1]
-    stack = airy_derivative_stack(z0, LOCAL_EXPANSION_ORDER)
-    return evaluate_from_stack(stack, z0, np.asarray(xs) + np.asarray(ys))
+    stack = airy_derivative_stack(z0, order)
+    at = _local_values(stack, z0)
+    return lambda i, j: stack[i + j], lambda xs, ys: at(np.asarray(xs) + np.asarray(ys))
 
 
-def _bessel_cos_taylor(center, n):
+def _bessel_cos_expand(center, order) -> Expansion:
     x0, y0 = center
-    stack = bessel_derivative_stack(1, x0, n)
-    return _triangle(
-        n,
-        lambda i, j: stack[i] * math.cos(y0 + j * math.pi / 2)
-        / (math.factorial(i) * math.factorial(j)),
+    stack = bessel_derivative_stack(1, x0, order)
+    at = _local_values(stack, x0)
+    return (
+        lambda i, j: stack[i] * math.cos(y0 + j * math.pi / 2),
+        lambda xs, ys: at(xs) * np.cos(np.asarray(ys)),
     )
 
 
-def _bessel_cos_values(center, xs, ys):
-    stack = bessel_derivative_stack(1, center[0], LOCAL_EXPANSION_ORDER)
-    return evaluate_from_stack(stack, center[0], xs) * np.cos(np.asarray(ys))
-
-
-def _bessel_product_taylor(center, n):
+def _bessel_product_expand(center, order) -> Expansion:
     x0, y0 = center
-    stack_x = bessel_derivative_stack(0, x0, n)
-    stack_y = bessel_derivative_stack(1, y0, n)
-    return _triangle(
-        n,
-        lambda i, j: stack_x[i] * stack_y[j]
-        / (math.factorial(i) * math.factorial(j)),
-    )
+    stack_x = bessel_derivative_stack(0, x0, order)
+    stack_y = bessel_derivative_stack(1, y0, order)
+    at_x, at_y = _local_values(stack_x, x0), _local_values(stack_y, y0)
+    return lambda i, j: stack_x[i] * stack_y[j], lambda xs, ys: at_x(xs) * at_y(ys)
 
 
-def _bessel_product_values(center, xs, ys):
-    stack_x = bessel_derivative_stack(0, center[0], LOCAL_EXPANSION_ORDER)
-    stack_y = bessel_derivative_stack(1, center[1], LOCAL_EXPANSION_ORDER)
-    return evaluate_from_stack(stack_x, center[0], xs) * evaluate_from_stack(
-        stack_y, center[1], ys
-    )
-
-
-def _trig_taylor(center, n):
+def _trig_expand(center, order) -> Expansion:
     x0, y0 = center
-    return _triangle(
-        n,
-        lambda i, j: math.cos(x0 + i * math.pi / 2) * math.sin(y0 + j * math.pi / 2)
-        / (math.factorial(i) * math.factorial(j)),
+    return (
+        lambda i, j: math.cos(x0 + i * math.pi / 2) * math.sin(y0 + j * math.pi / 2),
+        lambda xs, ys: np.cos(np.asarray(xs)) * np.sin(np.asarray(ys)),
     )
-
-
-def _trig_values(center, xs, ys):
-    return np.cos(np.asarray(xs)) * np.sin(np.asarray(ys))
 
 
 def builtin_cases() -> list[TestCase]:
@@ -157,8 +138,7 @@ def builtin_cases() -> list[TestCase]:
             name="Ad",
         ),
         domain=(-2.0, 2.0, -2.0, 2.0),
-        taylor=_airy_taylor,
-        values=_airy_values,
+        expand=_airy_expand,
     )
     bessel_cos = TestCase(
         name="Jc",
@@ -174,8 +154,7 @@ def builtin_cases() -> list[TestCase]:
             name="Jc",
         ),
         domain=(1.0, 4.0, 0.0, 2 * math.pi),
-        taylor=_bessel_cos_taylor,
-        values=_bessel_cos_values,
+        expand=_bessel_cos_expand,
         printed_family=OperatorFamily(
             M=2,
             terms={
@@ -202,8 +181,7 @@ def builtin_cases() -> list[TestCase]:
             name="JJ",
         ),
         domain=(1.0, 3.0, 1.0, 3.0),
-        taylor=_bessel_product_taylor,
-        values=_bessel_product_values,
+        expand=_bessel_product_expand,
     )
     trig = TestCase(
         name="cs",
@@ -218,8 +196,7 @@ def builtin_cases() -> list[TestCase]:
             name="cs",
         ),
         domain=(-1.0, 1.0, -1.0, 1.0),
-        taylor=_trig_taylor,
-        values=_trig_values,
+        expand=_trig_expand,
     )
     return [airy, bessel_cos, bessel_product, trig]
 
@@ -231,13 +208,27 @@ def case_by_name(name: str) -> TestCase:
     raise KeyError(f"unknown case {name!r}; choose from {', '.join(CASE_NAMES)}")
 
 
+def _local_expansion(
+    case: TestCase, center: tuple[float, float], n: int
+) -> tuple[np.ndarray, Callable[..., np.ndarray]]:
+    """One ``case.expand`` at the center: the Taylor data through order n,
+    each cell scaled by 1/(i! j!), and the evaluator of the solution."""
+    cell, values = case.expand(center, max(n, LOCAL_EXPANSION_ORDER))
+    taylor = [cell(i, j) / (math.factorial(i) * math.factorial(j)) for i, j in indices(n)]
+    return np.array(taylor, dtype=float), values
+
+
 def exact_solution_taylor(case: TestCase, center: tuple[float, float], n: int) -> np.ndarray:
     """Scaled Taylor coefficients of the exact solution at the center.
 
-    Flat triangular layout through total order n.  Raises when the center
-    leaves the solution's validity region (nonpositive Bessel arguments).
+    Flat triangular layout through total order n >= 0, from one
+    ``case.expand`` through max(n, LOCAL_EXPANSION_ORDER).  Raises when the
+    center leaves the solution's validity region (nonpositive Bessel
+    arguments).
     """
-    return case.taylor(center, n)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return _local_expansion(case, center, n)[0]
 
 
 # --- manufactured-solution validation ----------------------------------------
@@ -270,13 +261,15 @@ class CaseValidation:
         return lines
 
 
-def substitution_residual(
-    family: OperatorFamily, case: TestCase, center: tuple[float, float]
-) -> float:
-    """Max |coefficient| of the series of L u at the center, through order 2."""
-    op = family.instantiate(center, q=1, coeff_order=2)
-    u = TaylorSeries2(center, 2 + family.M, exact_solution_taylor(case, center, 2 + family.M))
-    total = ts_zero(center, 2)
+def substitution_residual(family: OperatorFamily, u: TaylorSeries2) -> float:
+    """Max |coefficient| of the series of L u at u's center, through order 2.
+
+    ``u`` is the solution's Taylor series through order 2 + family.M.
+    """
+    if u.order < 2 + family.M:
+        raise ValueError(f"u needs order at least {2 + family.M}, got {u.order}")
+    op = family.instantiate(u.center, q=1, coeff_order=2)
+    total = ts_zero(u.center, 2)
     for (k, l), alpha in op.coeffs.items():
         unscale = math.factorial(k) * math.factorial(l)
         total = total + unscale * ts_mul(alpha, ts_derive(u, (k, l)), order=2)
@@ -288,12 +281,14 @@ def validate_case(case: TestCase, trials: int = 20, seed: int = 0) -> CaseValida
     require_centers(trials)
     rng = np.random.default_rng(seed)
     centers = draw_centers(case, trials, rng)
-    worst = max(substitution_residual(case.family, case, c) for c in centers)
+    order = 2 + case.family.M
+    solutions = [
+        TaylorSeries2(c, order, exact_solution_taylor(case, c, order)) for c in centers
+    ]
+    worst = max(substitution_residual(case.family, u) for u in solutions)
     printed_worst = printed_ok = None
     if case.printed_family is not None:
-        printed_worst = max(
-            substitution_residual(case.printed_family, case, c) for c in centers
-        )
+        printed_worst = max(substitution_residual(case.printed_family, u) for u in solutions)
         printed_ok = printed_worst < VALIDATION_TOL
     return CaseValidation(
         case=case.name,
@@ -438,12 +433,13 @@ def run_convergence(
     radius h matches the solution's Taylor data through order n with
     conditions weighted by h^(row order) — the match is calibrated to the
     disk it is judged on, so mismatches that a short basis cannot avoid land
-    on the conditions that matter least at that radius.  Records the max
-    pointwise error over the sampled disk per h, aggregated over centers.  A
-    center where the basis construction fails its hypotheses is redrawn (and
-    logged).  Per-center error curves are made monotone in h before
-    aggregation: the sampled max over the disk of radius h includes all
-    smaller sampled disks.
+    on the conditions that matter least at that radius.  The Taylor data and
+    the exact values on the disks come from one expansion per center.
+    Records the max pointwise error over the sampled disk per h, aggregated
+    over centers.  A center where the basis construction fails its
+    hypotheses is redrawn (and logged).  Per-center error curves are made
+    monotone in h before aggregation: the sampled max over the disk of
+    radius h includes all smaller sampled disks.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -479,10 +475,10 @@ def run_convergence(
         except HypothesisError as exc:
             logger.warning("redrew center %s for case %s: %s", center, case.name, exc)
             continue
-        F = exact_solution_taylor(case, center, n)
+        F, values = _local_expansion(case, center, n)
         mat = assemble_gpw_matrix(basis, n)
         xs, ys = disk_points(center, h)
-        exact = case.values(center, xs, ys)
+        exact = values(xs, ys)
         phases = TaylorSeries2(
             center, basis.functions[0].degree, [fn.phase.coeffs for fn in basis.functions]
         )
@@ -530,6 +526,10 @@ def emit_report(
     doubles); plotdata emits two-column "h err" blocks separated by blank
     lines.  Returns the text; writes it to ``path`` when given.
     """
+    if format not in REPORT_FORMATS:
+        raise ValueError(
+            f"unknown report format {format!r}; choose from {', '.join(REPORT_FORMATS)}"
+        )
     items = _as_report_list(reports)
     if format == "csv":
         lines = [CSV_HEADER]
@@ -540,15 +540,13 @@ def emit_report(
                     f"{hv:.17g},{ev:.17g},{r.slope:.17g},{r.floor:.17g}"
                 )
         text = "\n".join(lines) + "\n"
-    elif format == "plotdata":
+    else:  # plotdata
         blocks = []
         for r in items:
             blocks.append(
                 "\n".join(f"{hv:.17g} {ev:.17g}" for hv, ev in zip(r.h, r.errors))
             )
         text = "\n\n".join(blocks) + "\n"
-    else:
-        raise ValueError(f"unknown report format {format!r}")
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -30,6 +30,7 @@ import numpy as np
 from .bench import (
     CASE_NAMES,
     MIN_H_VALUES,
+    REPORT_FORMATS,
     builtin_cases,
     case_by_name,
     draw_centers,
@@ -47,8 +48,6 @@ from .construction import (
 )
 from .interp import assemble_gpw_matrix, assemble_reference_matrix, numeric_rank
 
-FORMAT_NAMES = ("csv", "plotdata")
-
 
 def _case_name(text: str) -> str:
     if text not in CASE_NAMES:
@@ -57,9 +56,9 @@ def _case_name(text: str) -> str:
 
 
 def _format_name(text: str) -> str:
-    if text not in FORMAT_NAMES:
+    if text not in REPORT_FORMATS:
         raise ValueError(
-            f"unknown format {text!r}; choose from {', '.join(FORMAT_NAMES)}"
+            f"unknown format {text!r}; choose from {', '.join(REPORT_FORMATS)}"
         )
     return text
 
@@ -197,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     convergence.add_argument("--hmin", type=float, default=1e-6)
     convergence.add_argument("--hmax", type=float, default=1.0)
     convergence.add_argument("--hcount", type=int, default=12)
-    convergence.add_argument("--format", choices=FORMAT_NAMES, default="csv")
+    convergence.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     convergence.add_argument("--out", help="write here instead of stdout")
     convergence.set_defaults(func=cmd_convergence, config_keys=_CONVERGENCE_KEYS)
 

@@ -15,6 +15,8 @@ import pytest
 from gpw.bench import (
     CASE_NAMES,
     CSV_HEADER,
+    DEFAULT_H_GRID,
+    REPORT_FORMATS,
     ConvergenceReport,
     TestCase,
     builtin_cases,
@@ -29,10 +31,12 @@ from gpw.bench import (
     validate_case,
 )
 import gpw.bench
+import gpw.special
 from gpw.construction import build_basis
 from gpw.interp import assemble_gpw_matrix, taylor_match
 from gpw.operators import HypothesisError
 from gpw.taylor2d import TaylorSeries2, index_of, tri_size, ts_derive, ts_mul, ts_zero
+from solution_oracles import ORACLES
 
 mpmath.mp.dps = 30
 
@@ -117,9 +121,16 @@ def test_printed_sign_residual_scale():
     u0 = float(mpmath.besselj(1, x)) * math.cos(y)
     expected = 2 * (1 - 2 * x * x - math.sin(y)) * u0
     assert total[(0, 0)] == pytest.approx(expected, rel=1e-9)
-    got = substitution_residual(case.printed_family, case, center)
+    got = substitution_residual(case.printed_family, u)
     assert got >= abs(expected) * (1 - 1e-12)
-    assert substitution_residual(case.family, case, center) < 1e-12
+    assert substitution_residual(case.family, u) < 1e-12
+
+
+def test_substitution_residual_needs_order_two_plus_m():
+    case = case_by_name("cs")
+    u = TaylorSeries2((0.1, 0.2), 3, exact_solution_taylor(case, (0.1, 0.2), 3))
+    with pytest.raises(ValueError, match="u needs order at least 4, got 3"):
+        substitution_residual(case.family, u)
 
 
 # --- exact solution Taylor data -------------------------------------------------
@@ -155,6 +166,57 @@ def test_taylor_validity_errors():
         exact_solution_taylor(case_by_name("Jc"), (-1.0, 1.0), 2)
     with pytest.raises(ValueError):
         exact_solution_taylor(case_by_name("JJ"), (1.5, 0.0), 2)
+    for case in builtin_cases():
+        center = draw_centers(case, 1, np.random.default_rng(0))[0]
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            exact_solution_taylor(case, center, -1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_one_expansion_reproduces_the_separate_builders_bit_for_bit(name):
+    # One expansion per center serves both the Taylor data and the disk
+    # values; neither may move a bit against the builders that made each
+    # from its own stacks.
+    case = case_by_name(name)
+    taylor, values = ORACLES[name]
+    for center in draw_centers(case, 3, np.random.default_rng(17)):
+        for n in (0, 1, 4, 40, 41):
+            assert _same_bits(exact_solution_taylor(case, center, n), taylor(center, n))
+        xs, ys = disk_points(center, DEFAULT_H_GRID)
+        assert _same_bits(case.values(center, xs, ys), values(center, xs, ys))
+
+
+@pytest.mark.parametrize(
+    "name, validation_seeds, center_seeds",
+    [("Ad", 1, 1), ("Jc", 1, 1), ("JJ", 2, 2), ("cs", 0, 0)],
+)
+def test_one_expansion_per_center_seed_counts(
+    monkeypatch, name, validation_seeds, center_seeds
+):
+    # A seed (point value and slope in 50-digit decimals) starts each
+    # derivative stack: validation checks both Jc operators on one expansion
+    # per center, and a convergence study expands each accepted center once.
+    calls = []
+
+    def counted(seed):
+        def wrapper(*args):
+            calls.append(args)
+            return seed(*args)
+        return wrapper
+
+    monkeypatch.setattr(gpw.special, "airy_seed", counted(gpw.special.airy_seed))
+    monkeypatch.setattr(gpw.special, "bessel_seed", counted(gpw.special.bessel_seed))
+    case = case_by_name(name)
+    validate_case(case, trials=3)
+    assert len(calls) == 3 * validation_seeds
+    calls.clear()
+    run_convergence(case, n=1, q=1, num_centers=2, h_grid=[1.0, 0.1, 0.01, 0.001])
+    assert len(calls) == 20 * validation_seeds + 2 * center_seeds
 
 
 # --- centers and sampling -------------------------------------------------------
@@ -304,6 +366,18 @@ def test_plotdata_blocks():
         emit_report([r1], format="json")
 
 
+def test_unknown_report_format_names_the_choices():
+    report = ConvergenceReport(
+        case="cs", n=1, q=1, p=3, seed=0, h=np.array([1.0]), errors=np.array([1.0]),
+        slope=2.0, floor=0.0,
+    )
+    assert REPORT_FORMATS == ("csv", "plotdata")
+    for fmt in REPORT_FORMATS:
+        emit_report(report, format=fmt)
+    with pytest.raises(ValueError, match="format 'json'; choose from csv, plotdata"):
+        emit_report(report, format="json")
+
+
 def test_read_report_csv_malformed():
     with pytest.raises(ValueError, match="header"):
         read_report_csv("h,err\n1,2\n")
@@ -370,8 +444,7 @@ def test_run_convergence_gates_on_validation():
         name="Jc",
         family=jc.printed_family,
         domain=jc.domain,
-        taylor=jc.taylor,
-        values=jc.values,
+        expand=jc.expand,
     )
     with pytest.raises(ValueError, match="validation"):
         run_convergence(broken, n=1, q=1, num_centers=2)
