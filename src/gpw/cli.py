@@ -6,15 +6,20 @@ construct    build one wave at a center and serialize its phase coefficients
 validate     substitute each exact solution into its operator and report
 rank-study   numeric ranks of the matching matrices as the basis size varies
 convergence  random-center disk-error study with fitted convergence orders
+order-table  fitted convergence orders for q = 1..4 by n = 1..5, per case
 
 Config files
 ------------
 ``--config FILE`` reads a plain-text file of ``key = value`` lines.  Keys
 are the long option names of the chosen subcommand without the leading
 dashes (``case = cs``, ``hmin = 1e-4``); the ``center`` key takes two
-numbers (``center = 0.5 -0.5``, comma optional).  ``#`` starts a comment
-and blank lines are skipped.  Values from the file override values given
-on the command line.
+numbers (``center = 0.5 -0.5``, comma optional).  Each value is converted
+and checked as its flag would be.  ``#`` starts a comment and blank lines
+are skipped.  Values from the file override values given on the command
+line.
+
+``order-table`` prints its table to stdout; its ``--out`` file holds the
+per-h error curves of every study in the table.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,51 +55,19 @@ from .construction import (
 from .interp import assemble_gpw_matrix, assemble_reference_matrix, numeric_rank
 
 
-def _case_name(text: str) -> str:
-    if text not in CASE_NAMES:
-        raise ValueError(f"unknown case {text!r}; choose from {', '.join(CASE_NAMES)}")
-    return text
-
-
-def _format_name(text: str) -> str:
-    if text not in REPORT_FORMATS:
-        raise ValueError(
-            f"unknown format {text!r}; choose from {', '.join(REPORT_FORMATS)}"
-        )
-    return text
-
-
-def _center_pair(text: str) -> tuple[float, float]:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ValueError(f"center needs two numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-# config key -> (argparse dest, converter), per subcommand
-_CONVERTERS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "case": ("case", _case_name),
-    "n": ("n", int),
-    "q": ("q", int),
-    "p": ("p", int),
-    "centers": ("centers", int),
-    "seed": ("seed", int),
-    "theta": ("theta", float),
-    "center": ("center", _center_pair),
-    "hmin": ("hmin", float),
-    "hmax": ("hmax", float),
-    "hcount": ("hcount", int),
-    "format": ("format", _format_name),
-    "out": ("out", str),
-}
-
-_CONSTRUCT_KEYS = ("case", "q", "theta", "center", "out")
-_VALIDATE_KEYS = ("case", "centers", "seed", "out")
-_RANK_KEYS = ("case", "n", "p", "centers", "seed", "out")
-_CONVERGENCE_KEYS = (
-    "case", "n", "q", "p", "centers", "seed",
-    "hmin", "hmax", "hcount", "format", "out",
-)
+def _config_value(option: argparse.Action, raw: str) -> object:
+    """Convert one config value the way ``option`` converts its flag."""
+    parts = raw.replace(",", " ").split() if option.nargs else [raw]
+    if option.nargs and len(parts) != option.nargs:
+        raise ValueError(f"{option.dest} needs {option.nargs} numbers, got {raw!r}")
+    values = [(option.type or str)(part) for part in parts]
+    for value in values:
+        if option.choices is not None and value not in option.choices:
+            raise ValueError(
+                f"unknown {option.dest} {value!r}; "
+                f"choose from {', '.join(option.choices)}"
+            )
+    return values if option.nargs else values[0]
 
 
 def read_config(path: str | Path) -> dict[str, str]:
@@ -115,13 +89,12 @@ def apply_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     for key, raw in read_config(args.config).items():
-        if key not in args.config_keys:
+        if key not in args.config_options:
             raise ValueError(
                 f"unknown config key {key!r} for this subcommand "
-                f"(allowed: {', '.join(args.config_keys)})"
+                f"(allowed: {', '.join(args.config_options)})"
             )
-        dest, convert = _CONVERTERS[key]
-        setattr(args, dest, convert(raw))
+        setattr(args, key, _config_value(args.config_options[key], raw))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -154,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="expansion center (default: domain midpoint)",
     )
     construct.add_argument("--out", help="write here instead of stdout")
-    construct.set_defaults(func=cmd_construct, config_keys=_CONSTRUCT_KEYS)
+    construct.set_defaults(func=cmd_construct)
 
     validate = sub.add_parser(
         "validate", help="residual report for the built-in cases"
@@ -167,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument("--out", help="write here instead of stdout")
-    validate.set_defaults(func=cmd_validate, config_keys=_VALIDATE_KEYS)
+    validate.set_defaults(func=cmd_validate)
 
     rank = sub.add_parser(
         "rank-study", help="numeric rank of the matching matrices vs p"
@@ -180,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--centers", type=int, default=10)
     rank.add_argument("--seed", type=int, default=0)
     rank.add_argument("--out", help="write here instead of stdout")
-    rank.set_defaults(func=cmd_rank_study, config_keys=_RANK_KEYS)
+    rank.set_defaults(func=cmd_rank_study)
 
     convergence = sub.add_parser(
         "convergence", help="disk-error convergence study on one case"
@@ -198,10 +171,25 @@ def build_parser() -> argparse.ArgumentParser:
     convergence.add_argument("--hcount", type=int, default=12)
     convergence.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     convergence.add_argument("--out", help="write here instead of stdout")
-    convergence.set_defaults(func=cmd_convergence, config_keys=_CONVERGENCE_KEYS)
+    convergence.set_defaults(func=cmd_convergence)
 
-    for command in (construct, validate, rank, convergence):
+    order_table = sub.add_parser(
+        "order-table", help="fitted-order table, q = 1..4 by n = 1..5, per case"
+    )
+    order_table.add_argument(
+        "--case", choices=CASE_NAMES, help="one case (default: all four)"
+    )
+    order_table.add_argument("--centers", type=int, default=50)
+    order_table.add_argument("--seed", type=int, default=1)
+    order_table.add_argument("--format", choices=REPORT_FORMATS, default="csv")
+    order_table.add_argument("--out", help="write all per-h error curves here")
+    order_table.set_defaults(func=cmd_order_table)
+
+    for command in (construct, validate, rank, convergence, order_table):
+        # config keys are the dests of the subcommand's own options
+        options = {a.dest: a for a in command._actions if a.dest != "help"}
         command.add_argument("--config", help="key = value file overriding flags")
+        command.set_defaults(config_options=options)
     return parser
 
 
@@ -234,6 +222,9 @@ def cmd_rank_study(args: argparse.Namespace) -> int:
     """Exit status 1 unless, in every cell, the reference rank is full
     (2n+1) exactly when p >= 2n+1 and every wave rank equals it."""
     require_centers(args.centers)
+    for flag, value in (("--n", args.n), ("--p", args.p)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     cases = [case_by_name(args.case)] if args.case else builtin_cases()
     orders = [args.n] if args.n is not None else [1, 2, 3, 4]
     lines: list[str] = []
@@ -290,6 +281,46 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     text = emit_report(report, path=args.out, format=args.format)
     if args.out is None:
         sys.stdout.write(text)
+    return 0
+
+
+def cmd_order_table(args: argparse.Namespace) -> int:
+    """One convergence study per cell; the value printed is the fitted order,
+    ``*`` marks a detected stagnation floor, and ``n/a`` a study that
+    raised ``ValueError``."""
+    require_centers(args.centers)
+    orders, tangencies = range(1, 6), range(1, 5)
+    reports = []
+    for name in [args.case] if args.case else CASE_NAMES:
+        case = case_by_name(name)
+        print(
+            f"case {name}: fitted order, {args.centers} centers, "
+            f"seed {args.seed} (* = stagnation floor detected)"
+        )
+        print("q\\n " + "".join(f"{n:>9}" for n in orders))
+        for q in tangencies:
+            cells = []
+            for n in orders:
+                try:
+                    with warnings.catch_warnings():
+                        # sweeping q < n-1 cells is the point of this table
+                        warnings.filterwarnings(
+                            "ignore", message=".*not guaranteed to reach order.*"
+                        )
+                        report = run_convergence(
+                            case, n=n, q=q, num_centers=args.centers, seed=args.seed
+                        )
+                except ValueError:
+                    cells.append(f"{'n/a':>9}")
+                    continue
+                reports.append(report)
+                mark = "*" if report.floor > 0 else " "
+                cells.append(f"{report.slope:8.2f}{mark}")
+            print(f"{q:>3} " + "".join(cells))
+        print()
+    if args.out:
+        emit_report(reports, path=args.out, format=args.format)
+        print(f"wrote {len(reports)} error curves to {args.out}")
     return 0
 
 

@@ -5,6 +5,7 @@ output are asserted directly.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,17 +138,26 @@ def test_rank_study_defaults_to_all_cases(capsys):
     assert all(line.split() == ["1", "3", "3", "3", "3"] for line in lines[2::3])
 
 
-def test_rank_study_rejects_no_centers_before_any_work(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--centers", "0"], "number of centers must be at least 1, got 0"),
+        (["--n", "0"], "--n must be at least 1, got 0"),
+        (["--p", "0"], "--p must be at least 1, got 0"),
+    ],
+    ids=["centers", "n", "p"],
+)
+def test_rank_study_rejects_no_centers_before_any_work(monkeypatch, capsys, flags, message):
     def no_work(*args, **kwargs):
         raise AssertionError("the rank study started")
 
     monkeypatch.setattr("gpw.cli.draw_centers", no_work)
-    argv = ["rank-study", "--case", "Ad", "--n", "1", "--p", "3", "--centers", "0"]
-    assert main(argv) == 1
+    argv = ["rank-study", "--case", "Ad", "--n", "1", "--p", "3", "--centers", "2"]
+    assert main(argv + flags) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
-    assert "number of centers must be at least 1, got 0" in captured.err
+    assert message in captured.err
     assert "rank characterization" not in captured.err
 
 
@@ -252,6 +262,56 @@ def test_convergence_rejects_bad_study_arguments_early(monkeypatch, capsys, flag
     assert err.startswith("error:") and message in err
 
 
+# --- order-table -----------------------------------------------------------------
+
+
+def test_order_table_prints_one_fit_per_cell_and_writes_the_curves(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        argv = ["order-table", "--case", "cs", "--centers", "2", "--out", str(out)]
+        assert main(argv) == 0
+    assert not [w for w in caught if "not guaranteed to reach order" in str(w.message)]
+
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "case cs: fitted order, 2 centers, seed 1 (* = stagnation floor detected)"
+    assert lines[1].split() == ["q\\n", "1", "2", "3", "4", "5"]
+    rows = [line.split() for line in lines[2:6]]
+    assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+    assert all(len(row) == 6 for row in rows)
+    fitted = [
+        (int(row[0]), n, cell) for row in rows for n, cell in enumerate(row[1:], 1)
+        if cell != "n/a"
+    ]
+
+    reports = read_report_csv(out.read_text())
+    assert [(r.q, r.n) for r in reports] == [(q, n) for q, n, _ in fitted]
+    for report, (_, _, cell) in zip(reports, fitted):
+        assert cell == f"{report.slope:.2f}" + ("*" if report.floor > 0 else "")
+    assert lines[-1] == f"wrote {len(reports)} error curves to {out}"
+
+
+def test_order_table_reads_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "table.cfg"
+    cfg.write_text("case = cs\ncenters = 2\nseed = 3\n")
+    assert main(["order-table", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "case cs: fitted order, 2 centers, seed 3 (* = stagnation floor detected)"
+    assert len(lines) == 7  # title, header, four rows, blank line
+
+
+def test_order_table_rejects_no_centers_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the order table started")
+
+    monkeypatch.setattr("gpw.cli.run_convergence", no_work)
+    assert main(["order-table", "--case", "cs", "--centers", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "number of centers must be at least 1, got 0" in captured.err
+
+
 # --- config files ----------------------------------------------------------------
 
 
@@ -273,6 +333,13 @@ def test_config_center_pair(tmp_path, capsys):
     assert main(["construct", "--case", "cs", "--config", str(cfg)]) == 0
     center, _, _, _ = parse_gpw_text(capsys.readouterr().out)
     assert center == (0.25, -0.5)
+
+
+def test_config_center_needs_two_numbers(tmp_path, capsys):
+    cfg = tmp_path / "wave.cfg"
+    cfg.write_text("center = 0.25\n")
+    assert main(["construct", "--case", "cs", "--config", str(cfg)]) == 1
+    assert "center needs 2 numbers, got '0.25'" in capsys.readouterr().err
 
 
 def test_config_unknown_key_fails(tmp_path, capsys):
