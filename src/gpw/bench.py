@@ -28,7 +28,7 @@ from .special import (
     bessel_derivative_stack,
     evaluate_from_stack,
 )
-from .taylor2d import TaylorSeries2, indices, ts_derive, ts_mul, ts_zero
+from .taylor2d import TaylorSeries2, indices, ts_derive, ts_mul
 
 logger = logging.getLogger(__name__)
 
@@ -269,10 +269,10 @@ def substitution_residual(family: OperatorFamily, u: TaylorSeries2) -> float:
     if u.order < 2 + family.M:
         raise ValueError(f"u needs order at least {2 + family.M}, got {u.order}")
     op = family.instantiate(u.center, q=1, coeff_order=2)
-    total = ts_zero(u.center, 2)
-    for (k, l), alpha in op.coeffs.items():
-        unscale = math.factorial(k) * math.factorial(l)
-        total = total + unscale * ts_mul(alpha, ts_derive(u, (k, l)), order=2)
+    total = sum(
+        math.factorial(k) * math.factorial(l) * ts_mul(alpha, ts_derive(u, (k, l)), order=2)
+        for (k, l), alpha in op.coeffs.items()
+    )
     return total.max_abs()
 
 
@@ -443,6 +443,8 @@ def run_convergence(
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got {q}")
     require_centers(num_centers)
     if p is None:
         p = 2 * n + 1

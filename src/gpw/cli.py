@@ -16,7 +16,7 @@ dashes (``case = cs``, ``hmin = 1e-4``); the ``center`` key takes two
 numbers (``center = 0.5 -0.5``, comma optional).  Each value is converted
 and checked as its flag would be.  ``#`` starts a comment and blank lines
 are skipped.  Values from the file override values given on the command
-line.
+line, and a required option may come from the file alone.
 
 ``order-table`` prints its table to stdout; its ``--out`` file holds the
 per-h error curves of every study in the table.
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct = sub.add_parser(
         "construct", help="build one wave and serialize its phase"
     )
-    construct.add_argument("--case", choices=CASE_NAMES, required=True)
+    construct.add_argument("--case", choices=CASE_NAMES, required=True, help="required")
     construct.add_argument("--q", type=int, default=1, help="order of tangency")
     construct.add_argument(
         "--theta", type=float, default=math.pi / 6, help="direction angle (radians)"
@@ -158,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     convergence = sub.add_parser(
         "convergence", help="disk-error convergence study on one case"
     )
-    convergence.add_argument("--case", choices=CASE_NAMES, required=True)
-    convergence.add_argument("--n", type=int, required=True, help="matching order")
+    convergence.add_argument("--case", choices=CASE_NAMES, required=True, help="required")
+    convergence.add_argument("--n", type=int, required=True, help="matching order (required)")
     convergence.add_argument(
         "--q", type=int, help="order of tangency (default: max(1, n-1))"
     )
@@ -186,10 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     order_table.set_defaults(func=cmd_order_table)
 
     for command in (construct, validate, rank, convergence, order_table):
-        # config keys are the dests of the subcommand's own options
+        # config keys are the dests of the subcommand's own options; a
+        # required one may come from the file, so main checks it after
         options = {a.dest: a for a in command._actions if a.dest != "help"}
+        required = [a for a in options.values() if a.required]
+        for action in required:
+            action.required = False
         command.add_argument("--config", help="key = value file overriding flags")
-        command.set_defaults(config_options=options)
+        command.set_defaults(config_options=options, required=required, parser=command)
     return parser
 
 
@@ -329,6 +333,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         apply_config(args)
+        missing = [a.option_strings[0] for a in args.required if getattr(args, a.dest) is None]
+        if missing:
+            args.parser.error(f"the following arguments are required: {', '.join(missing)}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import cmath
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,7 +239,8 @@ def residual_series(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSeries2:
 # parsed through the Python ast so precedence and parentheses behave exactly
 # as written; anything outside the whitelist is rejected.
 
-_ALLOWED_CALLS = {"sin", "cos"}
+_CALLS = {"sin": ts_sin, "cos": ts_cos}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ class CoefficientExpr:
     tree: ast.Expression = field(repr=False, compare=False)
 
     def build(self, center: tuple[float, float], order: int) -> TaylorSeries2:
-        value = _build_node(self.tree.body, center, order)
+        value = _build(self.tree.body, self.text, center, order)
         if isinstance(value, TaylorSeries2):
             return value
         return ts_constant(value, center, order)
@@ -260,86 +262,50 @@ def parse_coefficient(text: str) -> CoefficientExpr:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"unparseable coefficient {text!r}: {exc}") from None
-    _validate_node(tree.body, text)
+    _build(tree.body, text, (0.0, 0.0), 0)  # validity does not depend on the center
     return CoefficientExpr(text=text, tree=tree)
 
 
-def _validate_node(node: ast.AST, text: str) -> None:
+def _build(node: ast.AST, text: str, center, order: int) -> complex | TaylorSeries2:
+    """Check node against the grammar and expand it about the center: a
+    number while no x or y enters, a series of the given order after."""
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if type(node.value) not in (int, float):  # bool is an int, not a number here
             raise ValueError(f"non-numeric constant in {text!r}")
-    elif isinstance(node, ast.Name):
+        return complex(node.value)
+    if isinstance(node, ast.Name):
         if node.id not in ("x", "y"):
             raise ValueError(f"unknown name {node.id!r} in {text!r}")
-    elif isinstance(node, ast.BinOp):
-        if not isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Pow)):
-            raise ValueError(f"operator {type(node.op).__name__} not allowed in {text!r}")
-        if isinstance(node.op, ast.Pow):
-            if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int) and node.right.value >= 0):
-                raise ValueError(f"exponent must be a non-negative integer literal in {text!r}")
-        _validate_node(node.left, text)
-        if not isinstance(node.op, ast.Pow):
-            _validate_node(node.right, text)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, (ast.USub, ast.UAdd)):
-            raise ValueError(f"unary {type(node.op).__name__} not allowed in {text!r}")
-        _validate_node(node.operand, text)
-    elif isinstance(node, ast.Call):
-        if not (isinstance(node.func, ast.Name) and node.func.id in _ALLOWED_CALLS):
+        return ts_coordinate(node.id, center, order)
+    if isinstance(node, ast.Call):
+        if not (isinstance(node.func, ast.Name) and node.func.id in _CALLS):
             raise ValueError(f"only sin/cos calls allowed in {text!r}")
         if len(node.args) != 1 or node.keywords:
             raise ValueError(f"{node.func.id} takes one positional argument in {text!r}")
         arg = node.args[0]
         if not (isinstance(arg, ast.Name) and arg.id in ("x", "y")):
             raise ValueError(f"{node.func.id} argument must be x or y in {text!r}")
-    else:
-        raise ValueError(f"syntax {type(node).__name__} not allowed in {text!r}")
-
-
-def _build_node(node: ast.AST, center, order: int):
-    if isinstance(node, ast.Constant):
-        return complex(node.value)
-    if isinstance(node, ast.Name):
-        return ts_coordinate(node.id, center, order)
-    if isinstance(node, ast.Call):
-        maker = ts_sin if node.func.id == "sin" else ts_cos
-        return maker(node.args[0].id, center, order)
+        return _CALLS[node.func.id](arg.id, center, order)
     if isinstance(node, ast.UnaryOp):
-        value = _build_node(node.operand, center, order)
+        if not isinstance(node.op, (ast.USub, ast.UAdd)):
+            raise ValueError(f"unary {type(node.op).__name__} not allowed in {text!r}")
+        value = _build(node.operand, text, center, order)
         return value if isinstance(node.op, ast.UAdd) else -1 * value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        power = node.right
+        if not (isinstance(power, ast.Constant) and type(power.value) is int and power.value >= 0):
+            raise ValueError(f"exponent must be a non-negative integer literal in {text!r}")
+        base = _build(node.left, text, center, order)
+        result: complex | TaylorSeries2 = 1 + 0j
+        for _ in range(power.value):
+            result = result * base
+        return result
     if isinstance(node, ast.BinOp):
-        left = _build_node(node.left, center, order)
-        if isinstance(node.op, ast.Pow):
-            result: complex | TaylorSeries2 = 1 + 0j
-            for _ in range(node.right.value):
-                result = _combine(ast.Mult(), result, left, center, order)
-            return result
-        right = _build_node(node.right, center, order)
-        return _combine(node.op, left, right, center, order)
-    raise AssertionError(f"unvalidated node {node!r}")
-
-
-def _combine(op: ast.operator, left, right, center, order: int):
-    series_left = isinstance(left, TaylorSeries2)
-    series_right = isinstance(right, TaylorSeries2)
-    if not series_left and not series_right:
-        if isinstance(op, ast.Add):
-            return left + right
-        if isinstance(op, ast.Sub):
-            return left - right
-        return left * right
-    if isinstance(op, ast.Mult) and series_left != series_right:
-        series, scalar = (left, right) if series_left else (right, left)
-        return scalar * series
-    if not series_left:
-        left = ts_constant(left, center, order)
-    if not series_right:
-        right = ts_constant(right, center, order)
-    if isinstance(op, ast.Add):
-        return left + right
-    if isinstance(op, ast.Sub):
-        return left - right
-    return ts_mul(left, right)
+        if type(node.op) not in _BINARY:
+            raise ValueError(f"operator {type(node.op).__name__} not allowed in {text!r}")
+        left = _build(node.left, text, center, order)
+        return _BINARY[type(node.op)](left, _build(node.right, text, center, order))
+    raise ValueError(f"syntax {type(node).__name__} not allowed in {text!r}")
 
 
 @dataclass(frozen=True)

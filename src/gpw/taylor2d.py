@@ -9,7 +9,9 @@ i.e. the coefficients of the Taylor polynomial in X = x - x0, Y = y - y0.
 Every operation here works on these scaled coefficients and truncates at a
 fixed total degree: a series of order Q carries exactly the triangle
 {(i, j) : i + j <= Q}.  Coefficients are stored in a flat complex array,
-level by level, with (i, j) at offset (i+j)(i+j+1)/2 + j.
+level by level, with (i, j) at offset (i+j)(i+j+1)/2 + j.  `+` and `-`
+take a number on either side and move only the constant coefficient c[0, 0];
+`*` by a number scales every coefficient.
 
 A series may also carry a batch of such triangles: coefficients of shape
 (..., tri_size(order)), one row per series.  Products, derivatives,
@@ -123,6 +125,8 @@ class TaylorSeries2:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.order < 0:
+            raise ValueError(f"series order must be non-negative, got {self.order}")
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.ndim == 0 or arr.shape[-1] != tri_size(self.order):
             raise ValueError(
@@ -155,14 +159,26 @@ class TaylorSeries2:
         out[..., :n] = self.coeffs[..., :n]
         return TaylorSeries2(self.center, order, out)
 
-    def __add__(self, other: "TaylorSeries2") -> "TaylorSeries2":
+    def __add__(self, other) -> "TaylorSeries2":
+        """Sum with a series, truncated at the smaller order, or with a
+        number, which only moves the constant coefficient."""
+        if not isinstance(other, TaylorSeries2):
+            coeffs = self.coeffs.copy()
+            coeffs[..., 0] += complex(other)
+            return TaylorSeries2(self.center, self.order, coeffs)
         _check_centers(self, other)
         q = min(self.order, other.order)
         n = tri_size(q)
         return TaylorSeries2(self.center, q, self.coeffs[..., :n] + other.coeffs[..., :n])
 
-    def __sub__(self, other: "TaylorSeries2") -> "TaylorSeries2":
+    def __radd__(self, other) -> "TaylorSeries2":
+        return self + other
+
+    def __sub__(self, other) -> "TaylorSeries2":
         return self + (-other)
+
+    def __rsub__(self, other) -> "TaylorSeries2":
+        return -self + other
 
     def __neg__(self) -> "TaylorSeries2":
         return TaylorSeries2(self.center, self.order, -self.coeffs)

@@ -431,6 +431,8 @@ def test_run_convergence_rejects_bad_arguments_before_validating(monkeypatch):
     case = case_by_name("cs")
     with pytest.raises(ValueError, match="n must be at least 1, got 0"):
         run_convergence(case, n=0, q=1, num_centers=2)
+    with pytest.raises(ValueError, match="q must be at least 1, got 0"):
+        run_convergence(case, n=1, q=0, num_centers=2)
     with pytest.raises(ValueError, match="number of centers must be at least 1, got 0"):
         run_convergence(case, n=1, q=1, num_centers=0)
     with pytest.raises(ValueError, match="at least 4 h values to estimate an order, got 3"):

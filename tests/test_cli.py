@@ -225,10 +225,24 @@ def test_convergence_plotdata_format(capsys):
     assert len(first) == 2 and float(first[0]) == 1.0
 
 
-def test_convergence_missing_n_exits_with_usage_error():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["convergence", "--case", "cs"])
-    assert excinfo.value.code == 2
+def test_convergence_missing_n_exits_with_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("centers = 2\n")
+    for argv in (["convergence", "--case", "cs"], ["convergence", "--case", "cs", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --n" in capsys.readouterr().err
+
+
+def test_required_options_may_come_from_the_config_alone(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("case = cs\nn = 1\ncenters = 2\n")
+    assert main(["convergence", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["convergence", "--case", "cs", "--n", "1", "--centers", "2"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert from_file.startswith("case,n,q,p,seed,h,max_err,slope,floor\n")
 
 
 def test_convergence_rejects_p_below_one_before_drawing_centers(capsys, caplog):

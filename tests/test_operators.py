@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -385,11 +386,88 @@ def test_expression_constant_folding():
         "exp(x)",
         "x if y else 0",
         "'str'",
+        "x + True",
+        "x ** True",
     ],
 )
 def test_expression_rejects_outside_grammar(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
         parse_coefficient(bad)
+
+
+# Random expressions from the grammar, drawn as (text, majorant, degree).
+# The majorant sums absolute values (|sin|, |cos| <= 1), so it bounds the
+# rounding of every evaluation of the text; degree is None with sin/cos.
+_leaves = st.one_of(
+    st.one_of(st.integers(-5, 5), st.floats(-3.0, 3.0, allow_nan=False)).map(
+        lambda v: (repr(v), repr(abs(v)), 0)
+    ),
+    st.sampled_from(["x", "y"]).map(lambda v: (v, f"abs({v})", 1)),
+    st.sampled_from(["sin(x)", "sin(y)", "cos(x)", "cos(y)"]).map(lambda v: (v, "1", None)),
+)
+
+
+def _binary(a, op, b):
+    degree = None if None in (a[2], b[2]) else (a[2] + b[2] if op == "*" else max(a[2], b[2]))
+    return f"({a[0]}) {op} ({b[0]})", f"({a[1]}) {'*' if op == '*' else '+'} ({b[1]})", degree
+
+
+def _power(a, k):
+    return f"({a[0]}) ** {k}", f"({a[1]}) ** {k}", None if a[2] is None else a[2] * k
+
+
+def _expressions(depth):
+    if depth == 0:
+        return _leaves
+    sub = _expressions(depth - 1)
+    return st.one_of(
+        _leaves,
+        st.builds(_binary, sub, st.sampled_from("+-*"), sub),
+        st.builds(_power, sub, st.integers(0, 3)),
+        st.builds(lambda a, sign: (f"{sign}({a[0]})", a[1], a[2]), sub, st.sampled_from("+-")),
+    )
+
+
+def _evaluate(text, x, y):
+    return eval(text, {"__builtins__": {"abs": abs}, "sin": math.sin, "cos": math.cos, "x": x, "y": y})
+
+
+_coordinates = st.floats(-2.0, 2.0, allow_nan=False)
+_offsets = st.lists(st.tuples(*[st.floats(-0.5, 0.5, allow_nan=False)] * 2), min_size=1, max_size=3)
+
+
+@given(_expressions(3), _coordinates, _coordinates, st.integers(0, 8), _offsets)
+@settings(max_examples=150, deadline=None)
+def test_expression_series_matches_python_value(expr, cx, cy, order, offsets):
+    text, majorant, degree = expr
+    series = parse_coefficient(text).build((cx, cy), order)
+    assert series.order == order and series.center == (cx, cy)
+    rtol = 1e-9
+    got, want = series(cx, cy), _evaluate(text, cx, cy)
+    assert abs(got - want) <= rtol * _evaluate(majorant, cx, cy)
+    if degree is None or degree > order:
+        return  # a truncated series matches only at its center
+    for dx, dy in offsets:
+        got, want = series(cx + dx, cy + dy), _evaluate(text, cx + dx, cy + dy)
+        # each Taylor term is bounded by the majorant at |center| + |offset|
+        assert abs(got - want) <= rtol * _evaluate(majorant, abs(cx) + abs(dx), abs(cy) + abs(dy))
+
+
+_outside = [
+    "z", "sin", "exp(x)", "abs(x)", "x / y", "x % 2", "x // 2", "x @ y", "~x", "not x",
+    "x < y", "True", "False", "None", "1j", "'s'", "[x]", "lambda: 0", "x(", "x ** y",
+    "x ** -1", "x ** 2.0", "x ** True", "sin(1)", "sin(x*y)", "sin(x, y)", "sin(x=1)",
+    "x if y else 0",
+]
+
+
+@given(_expressions(2), st.sampled_from(_outside), st.sampled_from("+-*"), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_expression_outside_grammar_raises_quoting_the_text(expr, bad, op, bad_first):
+    left, right = (bad, expr[0]) if bad_first else (expr[0], bad)
+    text = f"({left}) {op} ({right})"
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_coefficient(text)
 
 
 def test_family_instantiates_at_requested_center_and_order():

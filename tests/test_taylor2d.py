@@ -125,6 +125,14 @@ def test_constructor_checks_length():
         TaylorSeries2((0.0, 0.0), 2, np.zeros(5))
 
 
+def test_negative_order_rejected_where_it_enters():
+    # tri_size is 0 for orders -1 and -2, so an empty array used to pass
+    with pytest.raises(ValueError, match="series order must be non-negative, got -2"):
+        TaylorSeries2((0.0, 0.0), -2, [])
+    with pytest.raises(ValueError, match="series order must be non-negative, got -1"):
+        ts_zero((0.0, 0.0), 3).with_order(-1)
+
+
 def test_getitem_outside_triangle():
     a = ts_zero((0.0, 0.0), 2)
     with pytest.raises(IndexError):
@@ -518,6 +526,29 @@ def test_batched_add_sub_match_rows(a, b):
         np.testing.assert_array_equal((A - B).coeffs[r], (ra - rb).coeffs)
         np.testing.assert_array_equal((A + single).coeffs[r], (ra + single).coeffs)
         np.testing.assert_array_equal((single - A).coeffs[r], (single - ra).coeffs)
+
+
+scalars = st.one_of(
+    st.integers(-5, 5),
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False),
+)
+
+
+@given(batched_series(), st.booleans(), scalars)
+@settings(max_examples=80, deadline=None)
+def test_number_on_either_side_equals_constant_promotion(a, batched, value):
+    order, arr = a
+    series = TaylorSeries2(C0, order, arr if batched else arr[0])
+    constant = ts_constant(value, C0, order)
+    for got, want in [
+        (series + value, series + constant),
+        (value + series, constant + series),
+        (series - value, series - constant),
+        (value - series, constant - series),
+    ]:
+        assert (got.order, got.coeffs.shape) == (want.order, want.coeffs.shape)
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-15, atol=0)
 
 
 @given(batched_series(), batched_series(), st.data())
