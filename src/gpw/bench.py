@@ -22,7 +22,7 @@ import numpy as np
 
 from .construction import build_basis
 from .interp import assemble_gpw_matrix, taylor_match
-from .operators import HypothesisError, OperatorFamily
+from .operators import HypothesisError, OperatorFamily, check_hypotheses
 from .special import (
     airy_derivative_stack,
     bessel_derivative_stack,
@@ -429,17 +429,18 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Measure max disk errors of the matched local approximant vs. h.
 
-    Draws random centers, builds the local wave basis at each, and for every
-    radius h matches the solution's Taylor data through order n with
-    conditions weighted by h^(row order) — the match is calibrated to the
-    disk it is judged on, so mismatches that a short basis cannot avoid land
-    on the conditions that matter least at that radius.  The Taylor data and
-    the exact values on the disks come from one expansion per center.
-    Records the max pointwise error over the sampled disk per h, aggregated
-    over centers.  A center where the basis construction fails its
-    hypotheses is redrawn (and logged).  Per-center error curves are made
-    monotone in h before aggregation: the sampled max over the disk of
-    radius h includes all smaller sampled disks.
+    Draws random centers one at a time, redrawing (and logging) a center
+    where the operator fails its hypotheses, then builds the local wave
+    bases of all accepted centers in one batched build_basis call.  At each
+    center one taylor_match call matches the solution's Taylor data through
+    order n once per radius h, with conditions weighted by h^(row order) —
+    the match is calibrated to the disk it is judged on, so mismatches that
+    a short basis cannot avoid land on the conditions that matter least at
+    that radius.  The Taylor data and the exact values on the disks come
+    from one expansion per center.  Records the max pointwise error over the
+    sampled disk per h, aggregated over centers.  Per-center error curves
+    are made monotone in h before aggregation: the sampled max over the disk
+    of radius h includes all smaller sampled disks.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -461,43 +462,42 @@ def run_convergence(
             f"(max residual {validation.max_residual:.3e})"
         )
     rng = np.random.default_rng(seed)
-    row_orders = np.array([k1 + k2 for k1, k2 in indices(n)], dtype=float)
-    point_count = SAMPLE_RADII * SAMPLE_ANGLES + 1
-    per_center = np.zeros((num_centers, h.size))
-    accepted = 0
+    ops = []
     attempts = 0
-    while accepted < num_centers:
+    while len(ops) < num_centers:
         attempts += 1
         if attempts > 50 * num_centers:
             raise ValueError(f"case {case.name}: too many rejected centers")
         center = draw_centers(case, 1, rng)[0]
         op = case.family.instantiate(center, q=q)
         try:
-            basis = build_basis(op, p)
+            check_hypotheses(op)
         except HypothesisError as exc:
             logger.warning("redrew center %s for case %s: %s", center, case.name, exc)
             continue
+        ops.append(op)
+    row_weights = h[:, None] ** np.array([k1 + k2 for k1, k2 in indices(n)], dtype=float)
+    point_count = SAMPLE_RADII * SAMPLE_ANGLES + 1
+    per_center = np.zeros((num_centers, h.size))
+    for c, basis in enumerate(build_basis(ops, p)):
+        center = basis.operator.center
         F, values = _local_expansion(case, center, n)
         mat = assemble_gpw_matrix(basis, n)
         xs, ys = disk_points(center, h)
-        exact = values(xs, ys)
+        exact = values(xs, ys).reshape(h.size, point_count)
         phases = TaylorSeries2(
             center, basis.functions[0].degree, [fn.phase.coeffs for fn in basis.functions]
         )
         members = phases(xs, ys).T  # one column per basis member
         np.exp(members, out=members)
-        errs = np.empty(h.size)
-        for k, hv in enumerate(h):
-            # rcond=None: the weighted rows span many orders of magnitude by
-            # design, so only the machine-precision rank cutoff is safe here.
-            match = taylor_match(mat, F, rcond=None, row_weights=hv**row_orders)
-            segment = slice(k * point_count, (k + 1) * point_count)
-            approx = members[segment] @ match.coefficients
-            errs[k] = np.max(np.abs(exact[segment] - approx))
+        # rcond=None: the weighted rows span many orders of magnitude by
+        # design, so only the machine-precision rank cutoff is safe here.
+        match = taylor_match(mat, F, rcond=None, row_weights=row_weights)
+        # one disk per radius: (h, points, p) @ (h, p, 1)
+        approx = members.reshape(h.size, point_count, -1) @ match.coefficients[:, :, None]
+        errs = np.max(np.abs(exact - approx[..., 0]), axis=1)
         # cumulative max over ascending h = include all smaller disks
-        errs = np.maximum.accumulate(errs[::-1])[::-1]
-        per_center[accepted] = errs
-        accepted += 1
+        per_center[c] = np.maximum.accumulate(errs[::-1])[::-1]
     errors = per_center.max(axis=0)
     slope, floor = _slope_and_floor(h, errors)
     return ConvergenceReport(

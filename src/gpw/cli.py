@@ -263,6 +263,9 @@ def cmd_rank_study(args: argparse.Namespace) -> int:
 def cmd_convergence(args: argparse.Namespace) -> int:
     case = case_by_name(args.case)
     q = args.q if args.q is not None else max(1, args.n - 1)
+    for flag, value in (("hmin", args.hmin), ("hmax", args.hmax)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if not args.hmin > 0:
         raise ValueError(f"hmin must be positive, got {args.hmin}")
     if not args.hmax > args.hmin:

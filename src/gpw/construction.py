@@ -25,6 +25,7 @@ import numpy as np
 from gpw.operators import (
     PdeOperator,
     check_hypotheses,
+    operator_batch,
     principal_sqrt,
     require_hyp1,
     residual_series,
@@ -58,25 +59,33 @@ def pi_weight(k: int, I: int, M: int, L: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pi_weights(M: int, L: int) -> tuple[tuple[int, ...], ...]:
-    # row I holds pi_weight(k, I, M, L) for k = 0..M
-    return tuple(tuple(pi_weight(k, I, M, L) for k in range(M + 1)) for I in range(L + 1))
+def _pi_weights(M: int, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (row, column, weight) of the weighted cells of level L, indexed [I, k]:
+    # row M+I, column I+k, weight pi_weight(k, I, M, L)
+    weights = np.array([[pi_weight(k, I, M, L) for k in range(M + 1)] for I in range(L + 1)])
+    I, k = np.indices(weights.shape)
+    cells = (M + I, I + k, weights)
+    for array in cells:
+        array.setflags(write=False)  # shared by every caller through the cache
+    return cells
 
 
-def level_matrix(op: PdeOperator, L: int) -> np.ndarray:
+def level_matrix(op: PdeOperator | Sequence[PdeOperator], L: int) -> np.ndarray:
     """Square system of level L: identity rows for the fixed layer entries,
     then one weighted row per unknown; lower triangular by construction.
+    A sequence of operators (see operator_batch) gives one system per
+    operator, stacked along a leading axis.
     """
-    M = op.M
+    ops = operator_batch(op)
+    M = ops[0].M
     n = M + L + 1
-    T = np.zeros((n, n), dtype=complex)
+    T = np.zeros((len(ops), n, n), dtype=complex)
     for i in range(M):
-        T[i, i] = 1.0
-    lead = [op.coefficient_at_center(k, M - k) for k in range(M + 1)]
-    for I, weights in enumerate(_pi_weights(M, L)):
-        for k in range(M + 1):
-            T[M + I, I + k] = weights[k] * lead[k]
-    return T
+        T[:, i, i] = 1.0
+    lead = np.array([[o.coefficient_at_center(k, M - k) for k in range(M + 1)] for o in ops])
+    rows, cols, weights = _pi_weights(M, L)
+    T[:, rows, cols] = weights * lead[:, None, :]
+    return T[0] if isinstance(op, PdeOperator) else T
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,10 @@ class GpwNormalization:
 
     theta: float = 0.0
     fixed_values: dict[Index, complex] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
 
     def has_explicit_pair(self) -> bool:
         """True when fixed_values sets the first-order pair, False when theta does."""
@@ -126,34 +139,35 @@ class GpwPolynomial:
 
 
 def construct_gpw(
-    op: PdeOperator, norms: Sequence[GpwNormalization]
-) -> list[GpwPolynomial]:
+    op: PdeOperator | Sequence[PdeOperator], norms: Sequence[GpwNormalization]
+) -> list[GpwPolynomial] | list[list[GpwPolynomial]]:
     """Fill the free coefficients of each wave from its normalization, then
     solve the levels 0..q-1 in order by forward substitution, all waves at
     once.  Needs hypothesis 1, and hypothesis 2 only for pairs set by theta.
 
     The level matrix depends on the operator alone, so it is built once per
-    level; the waves differ only in their right-hand sides.
+    level; the waves differ only in their right-hand sides.  A sequence of
+    operators of one family (see operator_batch) is solved in the same pass,
+    every array carrying a leading operator axis that one operator lacks,
+    and gives one list of waves per operator.
     """
-    M, q = op.M, op.q
+    ops = operator_batch(op)
+    M, q = ops[0].M, ops[0].q
     degree = M + q - 1
     norms = list(norms)
     if not norms:
         raise ValueError("need at least one normalization")
-    require_hyp1(op)
     explicit = [norm.has_explicit_pair() for norm in norms]
-    if not all(explicit):
-        factorization = check_hypotheses(op)
-        inv_A, inv_sqrt_D = np.linalg.inv(factorization.A), factorization.inverse_sqrt_D()
-        kappa = kappa_from_zeroth(op)
+    if all(explicit):
+        for other in ops:
+            require_hyp1(other)
+    else:  # hypothesis 2, and with it 1, only when some pair is set by theta
+        factorizations = [check_hypotheses(other) for other in ops]
 
-    arr = np.zeros((len(norms), tri_size(degree)), dtype=complex)
-    for row, norm, explicit_pair in zip(arr, norms, explicit):
-        if not explicit_pair:
-            direction = np.array([math.cos(norm.theta), math.sin(norm.theta)], dtype=complex)
-            # ((i kappa A^-1) D^-1/2) direction, grouped as always: folding
-            # i kappa into A^-1 D^-1/2 would move the last bits
-            row[[index_of(1, 0), index_of(0, 1)]] = 1j * kappa * inv_A @ inv_sqrt_D @ direction
+    batch = () if isinstance(op, PdeOperator) else (len(ops),)
+    arr = np.zeros(batch + (len(norms), tri_size(degree)), dtype=complex)
+    per_operator = arr.reshape(len(ops), len(norms), -1)  # a view, one operator or many
+    for w, norm in enumerate(norms):
         for (i, j), value in norm.fixed_values.items():  # an explicit pair included
             if (i, j) == (0, 0):
                 raise ValueError("the constant phase coefficient stays zero")
@@ -161,7 +175,21 @@ def construct_gpw(
                 raise ValueError(f"({i},{j}) is solved by the construction, not free")
             if i + j > degree:
                 raise ValueError(f"({i},{j}) beyond phase degree {degree}")
-            row[index_of(i, j)] = value
+            arr[..., w, index_of(i, j)] = value
+    if not all(explicit):
+        pair = [index_of(1, 0), index_of(0, 1)]
+        directions = [
+            np.array([math.cos(norm.theta), math.sin(norm.theta)], dtype=complex)
+            for norm in norms
+        ]
+        for rows, other, factorization in zip(per_operator, ops, factorizations):
+            # ((i kappa A^-1) D^-1/2) direction, grouped as always: folding
+            # i kappa into A^-1 D^-1/2 would move the last bits
+            lift = 1j * kappa_from_zeroth(other) * np.linalg.inv(factorization.A)
+            lift = lift @ factorization.inverse_sqrt_D()
+            for row, direction, explicit_pair in zip(rows, directions, explicit):
+                if not explicit_pair:
+                    row[pair] = lift @ direction
     n_fixed = sum(1 for i, _ in graded_indices(degree) if i < M)
 
     n_dof, n_eqn, n_fixed_expected = dof_counts(M, q)
@@ -174,25 +202,29 @@ def construct_gpw(
         # Residual cells of level L read phase coefficients of length at most
         # M+L, so the phases truncated there give them exactly; layer M+L
         # holds its fixed entries and zeros where this level's unknowns go.
-        partial = TaylorSeries2(op.center, M + L, arr[:, : tri_size(M + L)])
+        partial = TaylorSeries2(ops[0].center, M + L, arr[..., : tri_size(M + L)])
         res = residual_series(op, partial, L)
-        rhs = -res.coeffs[:, [index_of(I, L - I) for I in range(L + 1)]]
+        rhs = -res.coeffs[..., [index_of(I, L - I) for I in range(L + 1)]]
         # peel off previously substituted unknowns of the same level as we
         # walk down the triangle
         unknowns = np.zeros_like(rhs)
         for I in range(L + 1):
-            acc = rhs[:, I]
+            acc = rhs[..., I]
             for I2 in range(max(0, I - M), I):
-                acc = acc - T[M + I, M + I2] * unknowns[:, I2]
-            unknowns[:, I] = acc / T[M + I, M + I]
-            arr[:, index_of(M + I, L - I)] = unknowns[:, I]
+                acc = acc - T[..., M + I, M + I2, None] * unknowns[..., I2]
+            unknowns[..., I] = acc / T[..., M + I, M + I, None]
+            arr[..., index_of(M + I, L - I)] = unknowns[..., I]
             solved += 1
     assert solved == n_eqn
 
-    return [
-        GpwPolynomial(op, TaylorSeries2(op.center, degree, row), norm)
-        for row, norm in zip(arr, norms)
+    waves = [
+        [
+            GpwPolynomial(other, TaylorSeries2(other.center, degree, row), norm)
+            for row, norm in zip(rows, norms)
+        ]
+        for rows, other in zip(per_operator, ops)
     ]
+    return waves[0] if isinstance(op, PdeOperator) else waves
 
 
 def kappa_from_zeroth(op: PdeOperator) -> complex:
@@ -225,16 +257,25 @@ def basis_angles(p: int) -> list[float]:
     return [math.pi / 6 + 2 * l * math.pi / p for l in range(p)]
 
 
-def build_basis(op: PdeOperator, p: int) -> GpwBasis:
+def build_basis(
+    op: PdeOperator | Sequence[PdeOperator], p: int
+) -> GpwBasis | list[GpwBasis]:
     """Construct the p-member basis with the standard normalization: one
     wave per direction of basis_angles(p), its first-order pair taken from
-    the operator's symbol factorization and kappa_from_zeroth.
+    the operator's symbol factorization and kappa_from_zeroth.  A sequence
+    of operators of one family gives one basis per operator, all built in
+    one construct_gpw call.
     """
     if p < 1:
         raise ValueError("p must be positive")
     angles = basis_angles(p)
     functions = construct_gpw(op, [GpwNormalization(theta=theta) for theta in angles])
-    return GpwBasis(operator=op, functions=functions, angles=angles)
+    if isinstance(op, PdeOperator):
+        return GpwBasis(operator=op, functions=functions, angles=angles)
+    return [
+        GpwBasis(operator=other, functions=waves, angles=angles)
+        for other, waves in zip(op, functions)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,11 @@ def numeric_rank(mat, tol: float = 1e-9) -> int:
 
 @dataclass(frozen=True)
 class TaylorMatch:
+    """Match coefficients and the unweighted residual norm: one row of
+    coefficients and one residual per row of weights when they are stacked."""
+
     coefficients: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
 def taylor_match(
@@ -116,20 +119,26 @@ def taylor_match(
     row_weights multiplies each matching condition before the solve:
     weighting row (k1, k2) by h^(k1+k2) calibrates the match to a disk of
     radius h, so mismatches are pushed onto the conditions that matter least
-    there.  The reported residual is always on the unweighted system.
+    there.  Weights of shape (R, rows) stack R such solves, one per row, each
+    the same lstsq as its own call.  The reported residual is always on the
+    unweighted system.
     """
     F = np.asarray(F, dtype=complex).ravel()
     if F.shape[0] != mat.rows:
         raise ValueError(f"F has {F.shape[0]} entries, matrix has {mat.rows} rows")
-    A = mat.entries
-    rhs = F
-    if row_weights is not None:
-        w = np.asarray(row_weights, dtype=float).ravel()
-        if w.shape[0] != mat.rows:
-            raise ValueError(f"{w.shape[0]} row weights for {mat.rows} rows")
-        A = A * w[:, None]
-        rhs = rhs * w
-    X, _, _, _ = np.linalg.lstsq(A, rhs, rcond=rcond)
-    residual = float(np.linalg.norm(mat.entries @ X - F))
-    return TaylorMatch(coefficients=X, residual=residual)
-
+    stacked = row_weights is not None and np.ndim(row_weights) == 2
+    if row_weights is None:
+        systems = [(mat.entries, F)]
+    else:
+        w = np.asarray(row_weights, dtype=float)
+        w = w if stacked else w.reshape(1, -1)
+        if w.shape[-1] != mat.rows:
+            raise ValueError(f"{w.shape[-1]} row weights for {mat.rows} rows")
+        systems = zip(mat.entries * w[:, :, None], F * w)
+    X = np.array([np.linalg.lstsq(A, rhs, rcond=rcond)[0] for A, rhs in systems])
+    # one matrix-vector product per solve: a batched matmul would move the
+    # last bits of the residual a single call has always reported
+    residual = np.array([np.linalg.norm(mat.entries @ x - F) for x in X])
+    if stacked:
+        return TaylorMatch(coefficients=X, residual=residual)
+    return TaylorMatch(coefficients=X[0], residual=float(residual[0]))

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import ast
 import cmath
+import math
 import operator
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -92,7 +94,7 @@ class PdeOperator:
 
     def coefficient_at_center(self, k: int, l: int) -> complex:
         series = self.coeffs.get((k, l))
-        return complex(series[(0, 0)]) if series is not None else 0j
+        return complex(series.coeffs[0]) if series is not None else 0j
 
     def principal_at_center(self) -> complex:
         """Value of the (M, 0) coefficient at the center (Hypothesis 1 pivot)."""
@@ -178,22 +180,59 @@ def require_hyp1(op: PdeOperator) -> None:
         raise HypothesisError(f"leading coefficient vanishes at the center {op.center}")
 
 
-def apply_phase_operator(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSeries2:
+def operator_batch(op: PdeOperator | Sequence[PdeOperator]) -> list[PdeOperator]:
+    """The operators of a batch: [op] for one operator, else the sequence,
+    which must be non-empty and share M, q and the coefficient indices in one
+    order, so every operator sums its terms alike."""
+    if isinstance(op, PdeOperator):
+        return [op]
+    ops = list(op)
+    if not ops:
+        raise ValueError("need at least one operator")
+    if len({(other.M, other.q, tuple(other.coeffs)) for other in ops}) > 1:
+        raise ValueError("operators of a batch differ in M, q or coefficient indices")
+    return ops
+
+
+def _per_operator(op, arrays: list[np.ndarray], ndim: int) -> np.ndarray:
+    """Stack one array per operator and pad the stack to ndim axes after the
+    operator axis, so it broadcasts against phases with ndim axes (a matrix
+    against them under matmul); one operator keeps its array as it is."""
+    if isinstance(op, PdeOperator):
+        return arrays[0]
+    stacked = np.array(arrays)
+    return stacked.reshape(stacked.shape[:1] + (1,) * (ndim - stacked.ndim) + stacked.shape[1:])
+
+
+def apply_phase_operator(
+    op: PdeOperator | Sequence[PdeOperator], P: TaylorSeries2, Q: int
+) -> TaylorSeries2:
     """Series of L(e^P)/e^P - c_{0,0} about the center, truncated at Q.
 
     Needs P.order >= Q + M: each derivative ratio E_{k,l} loses k+l orders.
+    For a sequence of operators (see operator_batch) the leading axis of P
+    runs over them and at least one wave axis follows; row c holds phases
+    about the center of operator c, and P is labelled with the first one.
     """
-    if P.center != op.center:
-        raise ValueError(f"phase centered at {P.center}, operator at {op.center}")
-    if P.order < Q + op.M:
-        raise ValueError(f"phase order {P.order} < Q + M = {Q + op.M}")
-    for (k, l), series in op.coeffs.items():
-        if k + l >= 1 and series.order < Q:
-            raise ValueError(f"coefficient ({k},{l}) order {series.order} < {Q}")
+    ops = operator_batch(op)
+    first = ops[0]
+    if P.center != first.center:
+        raise ValueError(f"phase centered at {P.center}, operator at {first.center}")
+    if P.order < Q + first.M:
+        raise ValueError(f"phase order {P.order} < Q + M = {Q + first.M}")
+    if not isinstance(op, PdeOperator) and (P.coeffs.ndim < 3 or len(P.coeffs) != len(ops)):
+        raise ValueError(
+            f"phases of shape {P.coeffs.shape} for {len(ops)} operators: "
+            "need one row of waves per operator"
+        )
+    for other in ops:
+        for (k, l), series in other.coeffs.items():
+            if k + l >= 1 and series.order < Q:
+                raise ValueError(f"coefficient ({k},{l}) order {series.order} < {Q}")
     dx_phase = ts_derive(P, (1, 0))
     dy_phase = ts_derive(P, (0, 1))
     ratios: dict[Index, TaylorSeries2] = {(1, 0): dx_phase, (0, 1): dy_phase}
-    for s in range(2, op.M + 1):
+    for s in range(2, first.M + 1):
         for k in range(s, -1, -1):
             l = s - k
             if k:
@@ -204,29 +243,35 @@ def apply_phase_operator(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSer
                 step = ts_derive(prev, (0, 1)) + ts_mul(dy_phase, prev, order=prev.order - 1)
             ratios[(k, l)] = step
     n, total = tri_size(Q), None
-    for (k, l), series in op.coeffs.items():
+    for k, l in first.coeffs:
         if k + l < 1:
             continue
-        term = ratios[(k, l)].coeffs[..., :n] @ mul_matrix(series, Q).T
+        mats = _per_operator(op, [mul_matrix(o.coeffs[(k, l)], Q) for o in ops], P.coeffs.ndim)
+        term = ratios[(k, l)].coeffs[..., :n] @ mats.swapaxes(-1, -2)
         total = term if total is None else total + term
     if total is None:
         raise ValueError("operator has no derivative terms")
-    return TaylorSeries2(op.center, Q, total)
+    return TaylorSeries2(first.center, Q, total)
 
 
-def residual_series(op: PdeOperator, P: TaylorSeries2, Q: int) -> TaylorSeries2:
+def residual_series(
+    op: PdeOperator | Sequence[PdeOperator], P: TaylorSeries2, Q: int
+) -> TaylorSeries2:
     """L(e^P)/e^P truncated at Q; identically zero iff e^P solves L u = 0.
 
     The phase P is an order-q quasi-solution exactly when all coefficients
-    of length < q vanish here.
+    of length < q vanish here.  Takes a batch of operators as
+    apply_phase_operator does.
     """
     out = apply_phase_operator(op, P, Q)
-    zeroth = op.coeffs.get((0, 0))
-    if zeroth is not None:
-        if zeroth.order < Q:
-            raise ValueError(f"zeroth coefficient order {zeroth.order} < {Q}")
-        out = out + zeroth.with_order(Q)
-    return out
+    zeroth = [other.coeffs.get((0, 0)) for other in operator_batch(op)]
+    if zeroth[0] is None:
+        return out
+    lowest = min(series.order for series in zeroth)
+    if lowest < Q:
+        raise ValueError(f"zeroth coefficient order {lowest} < {Q}")
+    added = _per_operator(op, [series.coeffs[: tri_size(Q)] for series in zeroth], P.coeffs.ndim)
+    return TaylorSeries2(out.center, Q, out.coeffs + added)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +340,17 @@ def _build(node: ast.AST, text: str, center, order: int) -> complex | TaylorSeri
         power = node.right
         if not (isinstance(power, ast.Constant) and type(power.value) is int and power.value >= 0):
             raise ValueError(f"exponent must be a non-negative integer literal in {text!r}")
-        base = _build(node.left, text, center, order)
-        result: complex | TaylorSeries2 = 1 + 0j
-        for _ in range(power.value):
-            result = result * base
-        return result
+        # binary powering: x**e in about 2 log2(e) products; x**2 is base * base
+        square = _build(node.left, text, center, order)
+        result: complex | TaylorSeries2 | None = None
+        exponent = power.value
+        while exponent:
+            if exponent & 1:
+                result = square if result is None else result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
+        return 1 + 0j if result is None else result
     if isinstance(node, ast.BinOp):
         if type(node.op) not in _BINARY:
             raise ValueError(f"operator {type(node.op).__name__} not allowed in {text!r}")
@@ -329,6 +380,8 @@ class OperatorFamily:
     ) -> PdeOperator:
         if q < 1:
             raise ValueError(f"q must be at least 1, got {q}")
+        if not all(math.isfinite(c) for c in center):
+            raise ValueError(f"center must be finite, got {tuple(center)}")
         order = q - 1 if coeff_order is None else coeff_order
         coeffs = {ij: expr.build(center, order) for ij, expr in self._parsed.items()}
         return PdeOperator(M=self.M, center=center, coeffs=coeffs, q=q)

@@ -74,27 +74,26 @@ def bessel_seed(nu: int, x: float) -> tuple[float, float]:
 
     J_nu(x) = sum_m (-1)^m (x/2)^(2m+nu) / (m! (m+nu)!); x must be positive
     (the recurrence for the higher stack divides by x^2, and the benchmark
-    domains keep Bessel arguments strictly positive anyway).
+    domains keep Bessel arguments strictly positive anyway).  Each term is
+    the one before times -(x/2)^2 / (m (m+nu)), and contributes
+    (2m+nu)/x times itself to the slope.
     """
     if x <= 0:
         raise ValueError(f"Bessel stack needs x > 0, got {x}")
     with localcontext() as ctx:
         ctx.prec = SEED_PRECISION
-        half = Decimal(x) / 2
+        xd = Decimal(x)
+        half_sq = (xd / 2) ** 2
+        term = (xd / 2) ** nu / math.factorial(nu)
         value = Decimal(0)
         slope = Decimal(0)
         tiny = Decimal("1e-45")
         quiet = 0
         for m in range(SEED_MAX_TERMS):
-            k = 2 * m + nu
-            coeff = Decimal((-1) ** m) / (
-                Decimal(math.factorial(m)) * Decimal(math.factorial(m + nu))
-            )
-            term = coeff * half**k
+            if m:
+                term = -term * half_sq / (m * (m + nu))
             value += term
-            # d/dx (x/2)^k = (k/2) (x/2)^(k-1)
-            if k >= 1:
-                slope += coeff * k * half ** (k - 1) / 2
+            slope += term * (2 * m + nu) / xd
             scale = abs(value) + abs(slope) + tiny
             if abs(term) < tiny * scale:
                 quiet += 1

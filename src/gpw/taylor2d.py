@@ -239,10 +239,6 @@ def _check_centers(a: TaylorSeries2, b: TaylorSeries2) -> None:
         raise ValueError(f"center mismatch: {a.center} vs {b.center}")
 
 
-def ts_zero(center: tuple[float, float], order: int) -> TaylorSeries2:
-    return TaylorSeries2(center, order, np.zeros(tri_size(order), dtype=complex))
-
-
 def ts_from_dict(
     center: tuple[float, float], order: int, values: dict[Index, complex]
 ) -> TaylorSeries2:

@@ -5,7 +5,20 @@ import math
 import numpy as np
 
 from faa_oracle import mi_sort_key
-from gpw.taylor2d import indices, ts_constant, ts_derive, ts_from_dict, ts_mul
+from gpw.taylor2d import (
+    TaylorSeries2,
+    indices,
+    tri_size,
+    ts_constant,
+    ts_derive,
+    ts_from_dict,
+    ts_mul,
+)
+
+
+def ts_zero(center, order):
+    """The zero series of the given order."""
+    return TaylorSeries2(center, order, np.zeros(tri_size(order), dtype=complex))
 
 
 def term_sum(series, x, y):

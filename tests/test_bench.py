@@ -34,8 +34,9 @@ import gpw.bench
 import gpw.special
 from gpw.construction import build_basis
 from gpw.interp import assemble_gpw_matrix, taylor_match
-from gpw.operators import HypothesisError
-from gpw.taylor2d import TaylorSeries2, index_of, tri_size, ts_derive, ts_mul, ts_zero
+from gpw.operators import HypothesisError, check_hypotheses
+from gpw.taylor2d import TaylorSeries2, index_of, tri_size, ts_derive, ts_mul
+from series_oracles import ts_zero
 from solution_oracles import ORACLES
 
 mpmath.mp.dps = 30
@@ -457,25 +458,32 @@ def test_run_convergence_redraws_only_on_hypothesis_errors(monkeypatch, caplog):
     calls = []
 
     def first_center_fails(error):
-        def fake(op, p):
+        def fake(op):
             calls.append(op.center)
             if len(calls) == 1:
                 raise error
-            return build_basis(op, p)
+            return check_hypotheses(op)
         return fake
 
     hypothesis_failure = HypothesisError("no usable symbol factorization")
-    monkeypatch.setattr(gpw.bench, "build_basis", first_center_fails(hypothesis_failure))
+    monkeypatch.setattr(gpw.bench, "check_hypotheses", first_center_fails(hypothesis_failure))
     with caplog.at_level("WARNING", logger="gpw.bench"):
         report = run_convergence(case, n=1, q=1, num_centers=2, seed=3)
     assert len(calls) == 3 and report.errors.shape == report.h.shape
     assert [r.getMessage().startswith("redrew center") for r in caplog.records] == [True]
 
     calls.clear()
-    monkeypatch.setattr(gpw.bench, "build_basis", first_center_fails(ValueError("bad argument")))
+    plain_failure = ValueError("bad argument")
+    monkeypatch.setattr(gpw.bench, "check_hypotheses", first_center_fails(plain_failure))
     with pytest.raises(ValueError, match="bad argument"):
         run_convergence(case, n=1, q=1, num_centers=2, seed=3)
     assert len(calls) == 1
+
+
+def test_run_convergence_at_one_center():
+    report = run_convergence(case_by_name("JJ"), n=2, q=1, num_centers=1, seed=5)
+    assert report.errors.shape == report.h.shape
+    assert np.all(np.isfinite(report.errors)) and report.slope > 0
 
 
 def test_reproducibility_bytes():

@@ -64,6 +64,22 @@ def test_construct_rejects_q_below_one(capsys):
     assert err.startswith("error:") and "q must be at least 1, got 0" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta", "nan"], "theta must be finite, got nan"),
+        (["--theta", "inf"], "theta must be finite, got inf"),
+        (["--center", "0.1", "nan"], "center must be finite, got (0.1, nan)"),
+        (["--center", "inf", "0"], "center must be finite, got (inf, 0.0)"),
+    ],
+)
+def test_construct_rejects_non_finite_input(capsys, flags, message):
+    assert main(["construct", "--case", "cs"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 # --- validate ------------------------------------------------------------------
 
 
@@ -263,6 +279,9 @@ def test_convergence_rejects_p_below_one_before_drawing_centers(capsys, caplog):
         (["--n", "0"], "n must be at least 1, got 0"),
         (["--hcount", "2"], "need at least 4 h values to estimate an order, got 2"),
         (["--hcount", "-1"], "--hcount: need at least 4 h values to estimate an order, got -1"),
+        (["--hmax", "inf"], "hmax must be finite, got inf"),
+        (["--hmax", "nan"], "hmax must be finite, got nan"),
+        (["--hmin", "nan"], "hmin must be finite, got nan"),
     ],
 )
 def test_convergence_rejects_bad_study_arguments_early(monkeypatch, capsys, flags, message):
@@ -271,7 +290,9 @@ def test_convergence_rejects_bad_study_arguments_early(monkeypatch, capsys, flag
 
     monkeypatch.setattr("gpw.bench.validate_case", no_work)
     argv = ["convergence", "--case", "cs", "--n", "2", "--q", "1", "--centers", "5"]
-    assert main(argv + flags) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the message
+        assert main(argv + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
 

@@ -679,6 +679,49 @@ def test_defining_property_at_high_q(q):
                 assert np.max(rel) < 1e-11, (name, center)
 
 
+def _bits(bases):
+    return [np.stack([fn.phase.coeffs for fn in b.functions]).view(np.uint64) for b in bases]
+
+
+@pytest.mark.parametrize("name", ["Ad", "Jc", "JJ", "cs"])
+@pytest.mark.parametrize("q", [1, 3, 6])
+def test_build_basis_over_several_operators_is_bit_identical(name, q):
+    case = case_by_name(name)
+    centers = draw_centers(case, 6, np.random.default_rng(q))
+    ops = [case.family.instantiate(center, q=q) for center in centers]
+    p = 2 * q + 3
+    alone = [build_basis(op, p) for op in ops]
+    for batch in (ops, ops[:1]):  # a batch of one included
+        bases = build_basis(batch, p)
+        assert [b.operator for b in bases] == batch
+        assert all(b.angles == basis_angles(p) for b in bases)
+        for got, want in zip(_bits(bases), _bits(alone)):
+            assert np.array_equal(got, want)
+
+
+def test_level_matrix_over_several_operators_stacks_the_single_ones():
+    ops = [MIXED.instantiate(center, q=3) for center in ((0.3, -0.6), (-0.1, 0.4))]
+    for L in range(3):
+        stacked = level_matrix(ops, L)
+        assert stacked.shape == (2, 2 + L + 1, 2 + L + 1)
+        for T, op in zip(stacked, ops):
+            assert np.array_equal(T, level_matrix(op, L))
+
+
+def test_operator_batches_must_share_one_family():
+    a = MIXED.instantiate((0.3, -0.6), q=2)
+    with pytest.raises(ValueError, match="at least one operator"):
+        build_basis([], 5)
+    with pytest.raises(ValueError, match="differ in M, q or coefficient indices"):
+        build_basis([a, MIXED.instantiate((0.1, 0.2), q=3)], 5)
+    with pytest.raises(ValueError, match="differ in M, q or coefficient indices"):
+        build_basis([a, AIRY.instantiate((0.1, 0.2), q=2)], 5)
+    # a batch of phases needs one row of waves per operator
+    P = TaylorSeries2(a.center, 3, np.zeros((3, 2, tri_size(3))))
+    with pytest.raises(ValueError, match="one row of waves per operator"):
+        residual_series([a, a], P, 1)
+
+
 GOLDEN = Path(__file__).with_name("golden_phases.json")
 
 

@@ -326,6 +326,28 @@ def test_match_row_weights_length_mismatch():
         taylor_match(mat, np.ones(mat.rows), row_weights=np.ones(mat.rows - 1))
 
 
+def test_match_stacked_row_weights_equal_the_per_row_calls():
+    op = TRIG.instantiate((0.2, -0.4), q=2)
+    mat = assemble_gpw_matrix(build_basis(op, 7), 3)
+    rng = np.random.default_rng(6)
+    F = rng.normal(size=mat.rows) + 1j * rng.normal(size=mat.rows)
+    orders = np.array([k1 + k2 for k1, k2 in indices(3)], dtype=float)
+    h = np.logspace(0.0, -6.0, 12)
+    weights = h[:, None] ** orders
+    stacked = taylor_match(mat, F, rcond=None, row_weights=weights)
+    assert stacked.coefficients.shape == (h.size, mat.p)
+    assert stacked.residual.shape == (h.size,)
+    for k, w in enumerate(weights):
+        alone = taylor_match(mat, F, rcond=None, row_weights=w)
+        assert np.array_equal(stacked.coefficients[k].view(float), alone.coefficients.view(float))
+        assert stacked.residual[k] == alone.residual
+        # the residual of one unstacked solve, bit for bit as it was reported
+        # before weights could be stacked
+        assert alone.residual == float(np.linalg.norm(mat.entries @ alone.coefficients - F))
+    with pytest.raises(ValueError, match="row weights"):
+        taylor_match(mat, F, row_weights=weights[:, :-1])
+
+
 # --- evaluation ----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpw.taylor2d
 from gpw.operators import (
     HypothesisError,
     OperatorFamily,
@@ -24,10 +25,9 @@ from gpw.taylor2d import (
     ts_constant,
     ts_derive,
     ts_from_dict,
-    ts_zero,
 )
 from faa_oracle import phase_operator_series_oracle
-from series_oracles import apply_phase_operator_by_products
+from series_oracles import apply_phase_operator_by_products, ts_zero
 
 
 def helmholtz(center, q=2, coeff_order=None, kappa=1.0):
@@ -372,6 +372,37 @@ def test_expression_constant_folding():
     series = parse_coefficient("-(2 + 3)**2").build((0.0, 0.0), 2)
     np.testing.assert_allclose(series.coeffs[0], -25)
     np.testing.assert_allclose(series.coeffs[1:], 0, atol=0)
+
+
+def test_powers_are_built_by_repeated_squaring(monkeypatch):
+    products = []
+    real_mul = gpw.taylor2d.ts_mul
+
+    def counting_mul(a, b, order=None):
+        products.append(1)
+        return real_mul(a, b, order)
+
+    monkeypatch.setattr(gpw.taylor2d, "ts_mul", counting_mul)
+    parse_coefficient("x ** 20000")
+    # 14 squarings and at most 15 set bits for 20000 < 2**15
+    assert 0 < len(products) <= 29
+    products.clear()
+    parse_coefficient("x ** 2")
+    assert len(products) == 1
+    products.clear()
+    parse_coefficient("x ** 1 + y ** 0")
+    assert products == []
+
+
+@pytest.mark.parametrize("exponent", [0, 1, 2, 3, 5, 8, 13])
+def test_powers_equal_repeated_products(exponent):
+    center = (0.7, -0.3)
+    base = parse_coefficient("0.5*x + y + 1.25").build(center, 4)
+    want = ts_constant(1.0, center, 4)
+    for _ in range(exponent):
+        want = want * base
+    got = parse_coefficient(f"(0.5*x + y + 1.25) ** {exponent}").build(center, 4)
+    np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-14, atol=1e-14 * want.max_abs())
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,21 @@ def test_bessel_seed_across_working_range():
             assert got_s == pytest.approx(want_s, rel=1e-13, abs=1e-16)
 
 
+def test_bessel_seed_is_correctly_rounded():
+    # the summed terms are carried forward by their ratio; the floats must
+    # still be J_nu and J_nu' rounded once, from 60-digit references
+    rng = np.random.default_rng(20)
+    with mpmath.workdps(60):
+        for x in rng.uniform(0.05, 6.0, 100):
+            x = float(x)
+            for nu in (0, 1):
+                want = (
+                    float(mpmath.besselj(nu, x)),
+                    float(mpmath.besselj(nu, x, derivative=1)),
+                )
+                assert bessel_seed(nu, x) == want, (nu, x)
+
+
 def test_bessel_first_derivative_identity():
     # J0' = -J1
     for x in (1.1, 2.6):

@@ -22,10 +22,9 @@ from gpw.taylor2d import (
     ts_from_dict,
     ts_mul,
     ts_sin,
-    ts_zero,
 )
 from faa_oracle import mi_sort_key
-from series_oracles import mi_compare, term_magnitude, term_sum, ts_affine, ts_power
+from series_oracles import mi_compare, term_magnitude, term_sum, ts_affine, ts_power, ts_zero
 
 # ---------------------------------------------------------------------------
 # independent oracles
