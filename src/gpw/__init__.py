@@ -29,7 +29,6 @@ from gpw.construction import (
 )
 from gpw.interp import (
     TaylorMatch,
-    TaylorMatrix,
     assemble_gpw_matrix,
     assemble_reference_matrix,
     numeric_rank,
@@ -61,7 +60,6 @@ __all__ = [
     "OperatorFamily",
     "PdeOperator",
     "TaylorMatch",
-    "TaylorMatrix",
     "TaylorSeries2",
     "TestCase",
     "apply_phase_operator",

@@ -35,6 +35,10 @@ import numpy as np
 
 from .bench import (
     CASE_NAMES,
+    DEFAULT_SEED,
+    H_COUNT,
+    H_MAX,
+    H_MIN,
     MIN_H_VALUES,
     REPORT_FORMATS,
     builtin_cases,
@@ -165,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     convergence.add_argument("--p", type=int, help="basis size (default: 2n+1)")
     convergence.add_argument("--centers", type=int, default=50)
-    convergence.add_argument("--seed", type=int, default=0)
-    convergence.add_argument("--hmin", type=float, default=1e-6)
-    convergence.add_argument("--hmax", type=float, default=1.0)
-    convergence.add_argument("--hcount", type=int, default=12)
+    convergence.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    convergence.add_argument("--hmin", type=float, default=H_MIN)
+    convergence.add_argument("--hmax", type=float, default=H_MAX)
+    convergence.add_argument("--hcount", type=int, default=H_COUNT)
     convergence.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     convergence.add_argument("--out", help="write here instead of stdout")
     convergence.set_defaults(func=cmd_convergence)
@@ -180,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--case", choices=CASE_NAMES, help="one case (default: all four)"
     )
     order_table.add_argument("--centers", type=int, default=50)
-    order_table.add_argument("--seed", type=int, default=1)
+    order_table.add_argument("--seed", type=int, default=DEFAULT_SEED)
     order_table.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     order_table.add_argument("--out", help="write all per-h error curves here")
     order_table.set_defaults(func=cmd_order_table)

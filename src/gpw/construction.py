@@ -106,6 +106,9 @@ class GpwNormalization:
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        for i, j in self.fixed_values:
+            if i < 0 or j < 0:
+                raise ValueError(f"fixed value ({i},{j}) has a negative index")
 
     def has_explicit_pair(self) -> bool:
         """True when fixed_values sets the first-order pair, False when theta does."""

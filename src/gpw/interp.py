@@ -2,57 +2,28 @@
 
 Stacking the scaled Taylor coefficients of each basis function up to order n
 as a column gives a dense matrix whose range decides what local solution data
-the basis can reproduce.  The reference matrix built from plane-wave angles
-carries the rank analysis; the matching solve itself is a minimum-norm least
-squares against the exact solution's coefficient vector.
+the basis can reproduce.  That matrix is kept as the batch of series it comes
+from, one row per function: the rows × p matrix is ``waves.coeffs.T``.  The
+reference matrix built from plane-wave angles carries the rank analysis; the
+matching solve itself is a minimum-norm least squares against the exact
+solution's coefficient vector.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from gpw.construction import GpwBasis
-from gpw.taylor2d import TaylorSeries2, index_of, indices, tri_size, ts_exp
+from gpw.taylor2d import TaylorSeries2, indices, tri_size, ts_exp
 
 
-@dataclass(frozen=True)
-class TaylorMatrix:
-    """Coefficient rows (k1, k2) with k1+k2 <= n, one column per function.
-
-    Row (k1, k2) sits at flat offset (k1+k2)(k1+k2+1)/2 + k2, the same
-    triangular layout the series store uses.
-    """
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != tri_size(self.n):
-            raise ValueError(
-                f"need {tri_size(self.n)} rows for order {self.n}, got {entries.shape}"
-            )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[1]
-
-    def row_of(self, k1: int, k2: int) -> np.ndarray:
-        return self.entries[index_of(k1, k2)]
-
-
-def assemble_gpw_matrix(basis: GpwBasis, n: int) -> TaylorMatrix:
-    """Columns are the order-n coefficient vectors of exp(phase_l).
+def assemble_gpw_matrix(basis: GpwBasis, n: int) -> TaylorSeries2:
+    """The order-n series of exp(phase_l), one row per wave of the basis.
 
     Phases of degree below n are zero-padded (exact: they are polynomials);
     all p phases are exponentiated in one batched ts_exp call.  Matching
@@ -67,30 +38,31 @@ def assemble_gpw_matrix(basis: GpwBasis, n: int) -> TaylorMatrix:
         )
     order = max([n] + [gpw.degree for gpw in basis.functions])
     phases = np.stack([gpw.phase.with_order(order).coeffs for gpw in basis.functions])
-    waves = ts_exp(TaylorSeries2(basis.operator.center, order, phases), order=n)
-    return TaylorMatrix(n=n, entries=np.ascontiguousarray(waves.coeffs.T))
+    return ts_exp(TaylorSeries2(basis.operator.center, order, phases), order=n)
 
 
-def assemble_reference_matrix(angles, n: int) -> TaylorMatrix:
-    """Closed-form reference matrix: row (k1, k2), column l is
-    cos^k1(theta_l) sin^k2(theta_l) / (k1! k2!).
+def assemble_reference_matrix(angles, n: int) -> TaylorSeries2:
+    """Closed-form reference: row l is the order-n series of
+    exp(x cos(theta_l) + y sin(theta_l)) about the origin, so coefficient
+    (k1, k2) is cos^k1(theta_l) sin^k2(theta_l) / (k1! k2!).
     """
     angles = [float(t) for t in angles]
     reduced = [math.fmod(math.fmod(t, 2 * math.pi) + 2 * math.pi, 2 * math.pi) for t in angles]
     if len(set(reduced)) != len(reduced):
         raise ValueError("duplicate angles")
     columns = [(math.cos(t), math.sin(t)) for t in angles]
-    entries = np.empty((tri_size(n), len(columns)), dtype=complex)
+    coeffs = np.empty((len(columns), tri_size(n)), dtype=complex)
     for row, (k1, k2) in enumerate(indices(n)):
         w = 1.0 / (math.factorial(k1) * math.factorial(k2))
         for col, (a, b) in enumerate(columns):
-            entries[row, col] = a**k1 * b**k2 * w
-    return TaylorMatrix(n=n, entries=entries)
+            coeffs[col, row] = a**k1 * b**k2 * w
+    return TaylorSeries2((0.0, 0.0), n, coeffs)
 
 
 def numeric_rank(mat, tol: float = 1e-9) -> int:
-    """Count of singular values above tol times the largest one."""
-    entries = mat.entries if isinstance(mat, TaylorMatrix) else np.asarray(mat)
+    """Count of singular values above tol times the largest one.  A batch of
+    series counts as its rows × p matrix, any other input as an array."""
+    entries = mat.coeffs.T if isinstance(mat, TaylorSeries2) else np.asarray(mat)
     s = np.linalg.svd(entries, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
@@ -99,46 +71,52 @@ def numeric_rank(mat, tol: float = 1e-9) -> int:
 
 @dataclass(frozen=True)
 class TaylorMatch:
-    """Match coefficients and the unweighted residual norm: one row of
-    coefficients and one residual per row of weights when they are stacked."""
+    """Match coefficients, one row per row of weights when they are stacked,
+    and the rows × p matrix and data they were solved against.
+
+    The residual, the norm of the unweighted mismatch, is computed when it
+    is first read: a float, or one per row of stacked coefficients.
+    """
 
     coefficients: np.ndarray
-    residual: float | np.ndarray
+    matrix: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
+
+    @cached_property
+    def residual(self) -> float | np.ndarray:
+        # one matrix-vector product per solve: a batched matmul would move
+        # the last bits of the residual a single solve has always reported
+        X = np.atleast_2d(self.coefficients)
+        residual = np.array([np.linalg.norm(self.matrix @ x - self.data) for x in X])
+        return residual if self.coefficients.ndim == 2 else float(residual[0])
 
 
 def taylor_match(
-    mat: TaylorMatrix,
+    waves: TaylorSeries2,
     F,
     rcond: float = 1e-9,
     row_weights=None,
 ) -> TaylorMatch:
-    """Minimum-norm least-squares solve of (matrix) X = F.
+    """Minimum-norm least-squares solve of (waves.coeffs.T) X = F.
 
     The matrix is rank-deficient by design (rank at most 2n+1 regardless of
     p and rows), so the SVD threshold picks the minimum-norm representative.
     row_weights multiplies each matching condition before the solve:
     weighting row (k1, k2) by h^(k1+k2) calibrates the match to a disk of
     radius h, so mismatches are pushed onto the conditions that matter least
-    there.  Weights of shape (R, rows) stack R such solves, one per row, each
-    the same lstsq as its own call.  The reported residual is always on the
-    unweighted system.
+    there.  No weights are weights of one.  Weights of shape (R, rows) stack
+    R such solves, one per row, each the same lstsq as its own call.
     """
+    # contiguous: a product with the transposed view moves the residual's last bits
+    A = np.ascontiguousarray(waves.coeffs.T)
+    rows = A.shape[0]
     F = np.asarray(F, dtype=complex).ravel()
-    if F.shape[0] != mat.rows:
-        raise ValueError(f"F has {F.shape[0]} entries, matrix has {mat.rows} rows")
-    stacked = row_weights is not None and np.ndim(row_weights) == 2
-    if row_weights is None:
-        systems = [(mat.entries, F)]
-    else:
-        w = np.asarray(row_weights, dtype=float)
-        w = w if stacked else w.reshape(1, -1)
-        if w.shape[-1] != mat.rows:
-            raise ValueError(f"{w.shape[-1]} row weights for {mat.rows} rows")
-        systems = zip(mat.entries * w[:, :, None], F * w)
-    X = np.array([np.linalg.lstsq(A, rhs, rcond=rcond)[0] for A, rhs in systems])
-    # one matrix-vector product per solve: a batched matmul would move the
-    # last bits of the residual a single call has always reported
-    residual = np.array([np.linalg.norm(mat.entries @ x - F) for x in X])
-    if stacked:
-        return TaylorMatch(coefficients=X, residual=residual)
-    return TaylorMatch(coefficients=X[0], residual=float(residual[0]))
+    if F.shape[0] != rows:
+        raise ValueError(f"F has {F.shape[0]} entries, matrix has {rows} rows")
+    w = np.ones(rows) if row_weights is None else np.asarray(row_weights, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[-1] != rows:
+        raise ValueError(f"row weights of shape {w.shape} for {rows} rows")
+    X = np.array(
+        [np.linalg.lstsq(A * wk[:, None], F * wk, rcond=rcond)[0] for wk in np.atleast_2d(w)]
+    )
+    return TaylorMatch(coefficients=X if w.ndim == 2 else X[0], matrix=A, data=F)

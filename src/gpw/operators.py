@@ -372,6 +372,9 @@ class OperatorFamily:
     name: str = ""
 
     def __post_init__(self) -> None:
+        for k, l in self.terms:
+            if k < 0 or l < 0 or k + l > self.M:
+                raise ValueError(f"term index ({k},{l}) outside order {self.M}")
         parsed = {ij: parse_coefficient(text) for ij, text in self.terms.items()}
         object.__setattr__(self, "_parsed", parsed)
 

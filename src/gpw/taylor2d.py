@@ -245,6 +245,8 @@ def ts_from_dict(
     """Series with the given coefficients, zeros elsewhere."""
     arr = np.zeros(tri_size(order), dtype=complex)
     for (i, j), v in values.items():
+        if i < 0 or j < 0:
+            raise ValueError(f"coefficient ({i},{j}) has a negative index")
         if i + j > order:
             raise ValueError(f"coefficient ({i},{j}) beyond order {order}")
         arr[index_of(i, j)] = v

@@ -5,8 +5,10 @@ One test per acceptance criterion, each printing a single PASS/FAIL line
 Stated runtime budgets are asserted where a criterion carries one.
 """
 
+import importlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +38,23 @@ from gpw.operators import (
 )
 from gpw.taylor2d import graded_indices, indices, ts_from_dict
 from faa_oracle import phase_operator_series_oracle
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Criterion 7's studies and bands: (part, case, n, q, lo, hi).  The benchmark's
+# order_table workload runs the same list; a test below holds the two equal.
+DIAGONAL = [(1, 1), (2, 1), (3, 2), (4, 3), (5, 4)]
+CRITERION_7_JOBS = [
+    ("7a", name, n, q, n + 1 - 0.35, n + 1 + 0.35)
+    for name in ("Ad", "JJ", "cs")
+    for n, q in DIAGONAL
+]
+CRITERION_7_JOBS += [("7a", "Jc", n, q, n + 1 - 0.35, n + 1 + 0.35) for n, q in DIAGONAL[:3]]
+CRITERION_7_JOBS += [
+    ("7b", "JJ", 4, 1, 2.7, 4.3),
+    ("7b", "JJ", 4, 3, 4.6, math.inf),
+    ("7b", "JJ", 4, 4, 4.6, math.inf),
+]
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -240,17 +259,7 @@ def test_criterion_7_order_table():
     (b) the n=4 row on JJ: q=1 lands in [2.7, 4.3], q in {3,4} reaches 4.6;
     all under 10 minutes."""
     started = time.perf_counter()
-    diagonal = [(1, 1), (2, 1), (3, 2), (4, 3), (5, 4)]
-    jobs: list[tuple[str, str, int, int, float, float]] = []
-    for name in ("Ad", "JJ", "cs"):
-        for n, q in diagonal:
-            jobs.append(("7a", name, n, q, n + 1 - 0.35, n + 1 + 0.35))
-    for n, q in diagonal[:3]:
-        jobs.append(("7a", "Jc", n, q, n + 1 - 0.35, n + 1 + 0.35))
-    jobs.append(("7b", "JJ", 4, 1, 2.7, 4.3))
-    jobs.append(("7b", "JJ", 4, 3, 4.6, math.inf))
-    jobs.append(("7b", "JJ", 4, 4, 4.6, math.inf))
-
+    jobs = CRITERION_7_JOBS
     failures = []
     for part, name, n, q, lo, hi in jobs:
         report = run_convergence(case_by_name(name), n=n, q=q, seed=1)
@@ -274,6 +283,19 @@ def test_criterion_7_order_table():
     )
     assert not failures
     assert elapsed < 600.0
+
+
+def test_criterion_7_jobs_are_the_benchmark_order_table(monkeypatch):
+    """The benchmark's order_table workload runs criterion 7's studies with
+    criterion 7's bands: one list, written twice, held equal here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    studies = workloads.OrderTable().items(seed=1)
+    benchmark = {
+        (s.fields[0], int(s.fields[1]), int(s.fields[2]), *s.band) for s in studies
+    }
+    assert len(studies) == len(CRITERION_7_JOBS) == 21
+    assert benchmark == {job[1:] for job in CRITERION_7_JOBS}
 
 
 def test_criterion_8_manufactured_solution_validation():

@@ -440,6 +440,25 @@ def test_run_convergence_rejects_bad_arguments_before_validating(monkeypatch):
         run_convergence(case, n=1, q=1, num_centers=2, h_grid=[0.5, 0.1, 0.01])
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([1.0, 0.1, 0.01, 0.0], "h values must be positive and finite, got 0.0"),
+        ([0.1, 0.01, -0.01, -0.1], "h values must be positive and finite, got -0.01"),
+        ([math.inf, 1.0, 0.1, 0.01], "h values must be positive and finite, got inf"),
+        ([1.0, math.nan, 0.1, 0.01], "h values must be positive and finite, got nan"),
+        ([[1.0, 0.1], [0.01, 0.001]], r"h grid must be one-dimensional, got shape \(2, 2\)"),
+    ],
+)
+def test_run_convergence_rejects_bad_radii_before_any_work(monkeypatch, grid, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(gpw.bench, "validate_case", no_work)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_convergence(case_by_name("cs"), n=1, q=1, num_centers=2, h_grid=grid)
+
+
 def test_run_convergence_gates_on_validation():
     # A case wired to the wrong-sign operator must be refused.
     jc = case_by_name("Jc")

@@ -13,11 +13,14 @@ import pytest
 from gpw.bench import (
     CASE_NAMES,
     DEFAULT_H_GRID,
+    DEFAULT_SEED,
     CaseValidation,
     case_by_name,
+    emit_report,
     read_report_csv,
+    run_convergence,
 )
-from gpw.cli import main, read_config
+from gpw.cli import build_parser, main, read_config
 from gpw.construction import build_basis, parse_gpw_text, serialize_gpw
 from gpw.taylor2d import tri_size
 
@@ -218,6 +221,17 @@ def test_convergence_default_grid(tmp_path):
     ) == 0
     (report,) = read_report_csv(out.read_text())
     assert np.array_equal(report.h, DEFAULT_H_GRID)
+
+
+def test_study_defaults_have_one_home(capsys):
+    # gpw convergence with no seed or grid flags is run_convergence with its
+    # own defaults, and gpw order-table shares the seed
+    assert main(["convergence", "--case", "cs", "--n", "1", "--centers", "2"]) == 0
+    want = emit_report(run_convergence(case_by_name("cs"), n=1, q=1, num_centers=2))
+    assert capsys.readouterr().out == want
+    (report,) = read_report_csv(want)
+    assert report.seed == DEFAULT_SEED
+    assert build_parser().parse_args(["order-table"]).seed == DEFAULT_SEED
 
 
 def test_convergence_grid_flags(capsys):

@@ -567,6 +567,15 @@ def test_normalization_errors():
         )[0]
 
 
+def test_normalization_rejects_negative_indices():
+    # (-1, 1) has the flat offset of (1, 0): it used to overwrite the pair
+    op = helmholtz().instantiate((0.0, 0.0), q=2)
+    for key in [(-1, 1), (1, -1)]:
+        fixed = {(1, 0): 1, (0, 1): 1j, key: 5}
+        with pytest.raises(ValueError, match=rf"fixed value \({key[0]},{key[1]}\) has a negative index"):
+            construct_gpw(op, [GpwNormalization(fixed_values=fixed)])
+
+
 def test_vanishing_leading_coefficient_rejected():
     op = PRODUCT.instantiate((0.0, 2.0), q=2)
     with pytest.raises(ValueError, match="leading"):

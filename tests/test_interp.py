@@ -5,7 +5,8 @@ formula evaluations; the exact-solution matching tests draw their coefficient
 vectors from the trigonometric product solution (closed form) and from the
 Airy derivative stack.  The classical and transition companion matrices and
 the pointwise evaluation of a matched combination are oracles kept here; the
-package builds only the wave and reference matrices.
+package builds only the wave and reference matrices, each as a batch of
+series with one row per function, so the rows × p matrix is ``coeffs.T``.
 """
 
 import cmath
@@ -16,7 +17,6 @@ import pytest
 
 from gpw.construction import build_basis
 from gpw.interp import (
-    TaylorMatrix,
     assemble_gpw_matrix,
     assemble_reference_matrix,
     numeric_rank,
@@ -24,7 +24,7 @@ from gpw.interp import (
 )
 from gpw.operators import OperatorFamily
 from gpw.special import airy_derivative_stack
-from gpw.taylor2d import TaylorSeries2, index_of, indices, tri_size, ts_exp
+from gpw.taylor2d import TaylorSeries2, index_of, indices, tri_size, ts_exp, ts_from_dict
 from series_oracles import term_magnitude, term_sum
 
 AIRY = OperatorFamily(
@@ -83,12 +83,13 @@ def helmholtz(kappa):
 
 
 def _power_rows(columns, n):
+    # the rows × p matrix: row (k1, k2), column l is a_l^k1 b_l^k2 / (k1! k2!)
     entries = np.empty((tri_size(n), len(columns)), dtype=complex)
     for row, (k1, k2) in enumerate(indices(n)):
         w = 1.0 / (math.factorial(k1) * math.factorial(k2))
         for col, (a, b) in enumerate(columns):
             entries[row, col] = a**k1 * b**k2 * w
-    return TaylorMatrix(n=n, entries=entries)
+    return entries
 
 
 def classical_matrix(angles, n, kappa):
@@ -121,21 +122,28 @@ def evaluate_combination(basis, X, point):
 
 
 def test_row_offset_matches_triangular_layout():
-    mat = assemble_reference_matrix([0.1, 0.9, 2.2, 3.8, 5.1], 2)
-    assert mat.rows == 6 and mat.p == 5
-    for k1, k2 in indices(2):
-        offset = (k1 + k2) * (k1 + k2 + 1) // 2 + k2
-        assert np.array_equal(mat.row_of(k1, k2), mat.entries[offset])
+    angles = [0.1, 0.9, 2.2, 3.8, 5.1]
+    mat = assemble_reference_matrix(angles, 2)
+    assert mat.coeffs.shape == (5, 6) and mat.center == (0.0, 0.0)
+    for l, t in enumerate(angles):
+        wave = TaylorSeries2(mat.center, 2, mat.coeffs[l])
+        for k1, k2 in indices(2):
+            offset = (k1 + k2) * (k1 + k2 + 1) // 2 + k2
+            assert wave[(k1, k2)] == mat.coeffs.T[offset, l]
+        # the series of exp(x cos t + y sin t) about the origin
+        plane = ts_exp(ts_from_dict(mat.center, 2, {(1, 0): math.cos(t), (0, 1): math.sin(t)}))
+        np.testing.assert_allclose(wave.coeffs, plane.coeffs, rtol=1e-14, atol=1e-16)
 
 
 def test_gpw_matrix_normalized_rows():
     op = TRIG.instantiate((0.2, -0.4), q=2)
     basis = build_basis(op, 4)
     mat = assemble_gpw_matrix(basis, 2)
-    assert np.array_equal(mat.row_of(0, 0), np.ones(4))
+    assert mat.center == op.center
+    assert np.array_equal(mat.coeffs[:, index_of(0, 0)], np.ones(4))
     pairs = [gpw.first_order_pair() for gpw in basis.functions]
-    assert np.array_equal(mat.row_of(1, 0), np.array([a for a, _ in pairs]))
-    assert np.array_equal(mat.row_of(0, 1), np.array([b for _, b in pairs]))
+    assert np.array_equal(mat.coeffs[:, index_of(1, 0)], np.array([a for a, _ in pairs]))
+    assert np.array_equal(mat.coeffs[:, index_of(0, 1)], np.array([b for _, b in pairs]))
 
 
 def test_gpw_matrix_order1_equals_transition():
@@ -145,13 +153,13 @@ def test_gpw_matrix_order1_equals_transition():
         gpw_mat = assemble_gpw_matrix(basis, 1)
         pairs = [gpw.first_order_pair() for gpw in basis.functions]
         trans = transition_matrix(pairs, 1)
-        assert np.array_equal(gpw_mat.entries, trans.entries)
+        assert np.array_equal(gpw_mat.coeffs.T, trans)
 
 
 def test_reference_rows_at_axis_angles():
     mat = assemble_reference_matrix([0.0, math.pi / 2, math.pi], 1)
     want = np.array([[1, 1, 1], [1, 0, -1], [0, 1, 0]], dtype=complex)
-    assert np.allclose(mat.entries, want, atol=1e-15)
+    assert np.allclose(mat.coeffs.T, want, atol=1e-15)
     assert numeric_rank(mat) == 3
 
 
@@ -162,7 +170,7 @@ def test_classical_is_block_scaled_reference():
     cla = classical_matrix(angles, 3, kappa)
     for row, (k1, k2) in enumerate(indices(3)):
         scale = (1j * kappa) ** (k1 + k2)
-        assert np.allclose(cla.entries[row], scale * ref.entries[row], rtol=1e-14)
+        assert np.allclose(cla[row], scale * ref.coeffs.T[row], rtol=1e-14)
 
 
 def test_transition_matches_classical_for_constant_coefficients():
@@ -171,14 +179,12 @@ def test_transition_matches_classical_for_constant_coefficients():
     pairs = [gpw.first_order_pair() for gpw in basis.functions]
     trans = transition_matrix(pairs, 3)
     cla = classical_matrix(basis.angles, 3, 2.0)
-    assert np.allclose(trans.entries, cla.entries, rtol=1e-13, atol=1e-15)
+    assert np.allclose(trans, cla, rtol=1e-13, atol=1e-15)
 
 
 def test_assembly_argument_errors():
     with pytest.raises(ValueError, match="duplicate"):
         assemble_reference_matrix([0.0, 2 * math.pi], 1)
-    with pytest.raises(ValueError, match="rows"):
-        TaylorMatrix(n=2, entries=np.ones((3, 2)))
 
 
 def test_gpw_matrix_warns_when_order_exceeds_guarantee():
@@ -186,7 +192,7 @@ def test_gpw_matrix_warns_when_order_exceeds_guarantee():
     basis = build_basis(op, 7)
     with pytest.warns(UserWarning, match="q=1"):
         mat = assemble_gpw_matrix(basis, 3)
-    assert mat.rows == tri_size(3)
+    assert mat.coeffs.shape == (7, tri_size(3))
 
 
 # --- rank --------------------------------------------------------------------
@@ -228,10 +234,10 @@ def test_higher_order_rows_lie_in_lower_transition_span():
         mat = assemble_gpw_matrix(basis, 4)
         pairs = [gpw.first_order_pair() for gpw in basis.functions]
         trans = transition_matrix(pairs, 4)
-        diff = mat.entries - trans.entries
+        diff = mat.coeffs.T - trans
         for K in range(1, 5):
             block = diff[tri_size(K - 1): tri_size(K)]
-            span = trans.entries[: tri_size(K - 1)]
+            span = trans[: tri_size(K - 1)]
             sol, _, _, _ = np.linalg.lstsq(span.T, block.T, rcond=None)
             err = np.linalg.norm(span.T @ sol - block.T)
             assert err < 1e-9 * max(1.0, np.linalg.norm(block))
@@ -244,10 +250,10 @@ def test_match_reproduces_member_column():
     op = TRIG.instantiate((0.2, -0.4), q=2)
     basis = build_basis(op, 7)
     mat = assemble_gpw_matrix(basis, 3)
-    F = mat.entries[:, 0]
+    F = mat.coeffs[0]
     match = taylor_match(mat, F)
     assert match.residual < 1e-12 * np.linalg.norm(F)
-    assert np.allclose(mat.entries @ match.coefficients, F, atol=1e-12)
+    assert np.allclose(mat.coeffs.T @ match.coefficients, F, atol=1e-12)
 
 
 def test_match_dimension_mismatch():
@@ -307,12 +313,12 @@ def test_match_row_weights_steer_the_mismatch():
     basis = build_basis(op, 5)
     mat = assemble_gpw_matrix(basis, 2)
     rng = np.random.default_rng(4)
-    F = rng.normal(size=mat.rows) + 1j * rng.normal(size=mat.rows)
+    F = rng.normal(size=tri_size(2)) + 1j * rng.normal(size=tri_size(2))
     plain = taylor_match(mat, F)
     orders = np.array([k1 + k2 for k1, k2 in indices(2)], dtype=float)
     weighted = taylor_match(mat, F, rcond=None, row_weights=1e-3**orders)
-    row_errors = np.abs(mat.entries @ weighted.coefficients - F)
-    assert np.abs(mat.entries @ plain.coefficients - F)[0] > 0.1
+    row_errors = np.abs(mat.coeffs.T @ weighted.coefficients - F)
+    assert np.abs(mat.coeffs.T @ plain.coefficients - F)[0] > 0.1
     assert row_errors[0] < 1e-11
     # the reported residual stays on the unweighted system, where the plain
     # least-squares solution is optimal by definition
@@ -322,30 +328,63 @@ def test_match_row_weights_steer_the_mismatch():
 def test_match_row_weights_length_mismatch():
     op = TRIG.instantiate((0.2, -0.4), q=1)
     mat = assemble_gpw_matrix(build_basis(op, 5), 2)
-    with pytest.raises(ValueError, match="row weights"):
-        taylor_match(mat, np.ones(mat.rows), row_weights=np.ones(mat.rows - 1))
+    rows = tri_size(2)
+    for weights in (np.ones(rows - 1), np.ones((2, rows + 1)), np.ones((2, 2, rows)), 1.0):
+        with pytest.raises(ValueError, match="row weights"):
+            taylor_match(mat, np.ones(rows), row_weights=weights)
 
 
 def test_match_stacked_row_weights_equal_the_per_row_calls():
     op = TRIG.instantiate((0.2, -0.4), q=2)
     mat = assemble_gpw_matrix(build_basis(op, 7), 3)
     rng = np.random.default_rng(6)
-    F = rng.normal(size=mat.rows) + 1j * rng.normal(size=mat.rows)
+    F = rng.normal(size=tri_size(3)) + 1j * rng.normal(size=tri_size(3))
     orders = np.array([k1 + k2 for k1, k2 in indices(3)], dtype=float)
     h = np.logspace(0.0, -6.0, 12)
     weights = h[:, None] ** orders
     stacked = taylor_match(mat, F, rcond=None, row_weights=weights)
-    assert stacked.coefficients.shape == (h.size, mat.p)
+    assert stacked.coefficients.shape == (h.size, 7)
     assert stacked.residual.shape == (h.size,)
     for k, w in enumerate(weights):
         alone = taylor_match(mat, F, rcond=None, row_weights=w)
         assert np.array_equal(stacked.coefficients[k].view(float), alone.coefficients.view(float))
         assert stacked.residual[k] == alone.residual
         # the residual of one unstacked solve, bit for bit as it was reported
-        # before weights could be stacked
-        assert alone.residual == float(np.linalg.norm(mat.entries @ alone.coefficients - F))
+        # before weights could be stacked: one product with the contiguous
+        # rows × p matrix (the transposed view would move its last bits)
+        entries = np.ascontiguousarray(mat.coeffs.T)
+        assert alone.residual == float(np.linalg.norm(entries @ alone.coefficients - F))
     with pytest.raises(ValueError, match="row weights"):
         taylor_match(mat, F, row_weights=weights[:, :-1])
+
+
+def test_match_without_weights_is_the_match_with_unit_weights():
+    op = TRIG.instantiate((0.2, -0.4), q=2)
+    mat = assemble_gpw_matrix(build_basis(op, 7), 3)
+    rng = np.random.default_rng(8)
+    F = rng.normal(size=tri_size(3)) + 1j * rng.normal(size=tri_size(3))
+    plain = taylor_match(mat, F)
+    ones = taylor_match(mat, F, row_weights=np.ones(tri_size(3)))
+    stacked = taylor_match(mat, F, row_weights=np.ones((1, tri_size(3))))
+    for coefficients in (ones.coefficients, stacked.coefficients[0]):
+        assert np.array_equal(coefficients.view(float), plain.coefficients.view(float))
+    assert isinstance(plain.residual, float)
+    assert plain.residual == ones.residual == stacked.residual[0]
+
+
+def test_match_residual_is_computed_when_read():
+    op = TRIG.instantiate((0.2, -0.4), q=2)
+    mat = assemble_gpw_matrix(build_basis(op, 7), 3)
+    F = mat.coeffs[2] + 0.5
+    h = np.logspace(0.0, -3.0, 4)
+    orders = np.array([k1 + k2 for k1, k2 in indices(3)], dtype=float)
+    match = taylor_match(mat, F, rcond=None, row_weights=h[:, None] ** orders)
+    assert "residual" not in vars(match)
+    residual = match.residual
+    assert vars(match)["residual"] is residual is match.residual
+    entries = np.ascontiguousarray(mat.coeffs.T)
+    want = [np.linalg.norm(entries @ x - F) for x in match.coefficients]
+    assert residual.tolist() == want
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -374,7 +413,7 @@ def test_gpw_matrix_columns_are_per_wave_exponentials():
                 mat = assemble_gpw_matrix(basis, 3)
         for col, gpw in enumerate(basis.functions):
             phase = gpw.phase if gpw.phase.order >= 3 else gpw.phase.with_order(3)
-            np.testing.assert_array_equal(mat.entries[:, col], ts_exp(phase, order=3).coeffs)
+            np.testing.assert_array_equal(mat.coeffs[col], ts_exp(phase, order=3).coeffs)
 
 
 def test_evaluate_combination_trivial_values():

@@ -172,6 +172,12 @@ def test_symbol_matrix_requires_order_two():
         principal_symbol_matrix(fam.instantiate((0.0, 0.0), 1))
 
 
+def test_family_rejects_term_indices_outside_its_order_when_created():
+    for key in [(3, 0), (2, 1), (-1, 2), (0, -1)]:
+        with pytest.raises(ValueError, match=rf"term index \({key[0]},{key[1]}\) outside order 2"):
+            OperatorFamily(M=2, terms={(2, 0): "1", (0, 2): "1", key: "x"})
+
+
 def test_operator_rejects_a_batched_coefficient():
     center = (0.0, 0.0)
     batch = TaylorSeries2(center, 1, np.ones((2, tri_size(1))))

@@ -132,6 +132,13 @@ def test_negative_order_rejected_where_it_enters():
         ts_zero((0.0, 0.0), 3).with_order(-1)
 
 
+def test_from_dict_rejects_negative_indices():
+    # (-1, 1) has the flat offset of (1, 0), and (1, -1) that of the last slot
+    for key in [(-1, 1), (1, -1), (0, -2)]:
+        with pytest.raises(ValueError, match=rf"coefficient \({key[0]},{key[1]}\) has a negative index"):
+            ts_from_dict((0.0, 0.0), 2, {key: 5})
+
+
 def test_getitem_outside_triangle():
     a = ts_zero((0.0, 0.0), 2)
     with pytest.raises(IndexError):
