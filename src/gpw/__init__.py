@@ -38,7 +38,6 @@ from gpw.operators import (
     HypothesisError,
     OperatorFamily,
     PdeOperator,
-    apply_phase_operator,
     check_hypotheses,
     residual_series,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "TaylorMatch",
     "TaylorSeries2",
     "TestCase",
-    "apply_phase_operator",
     "assemble_gpw_matrix",
     "assemble_reference_matrix",
     "basis_angles",

@@ -355,7 +355,7 @@ def disk_points(
 # --- convergence studies ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """Max-over-centers disk errors per h, with the fitted order data."""
 

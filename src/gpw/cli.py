@@ -246,13 +246,10 @@ def cmd_rank_study(args: argparse.Namespace) -> int:
         ]
         for n in orders:
             sizes = [args.p] if args.p is not None else [2 * n - 1, 2 * n, 2 * n + 1, 2 * n + 2]
+            ops = [case.family.instantiate(center, q=max(1, n - 1)) for center in centers]
             for p in sizes:
                 reference = numeric_rank(assemble_reference_matrix(basis_angles(p), n))
-                ranks = set()
-                for center in centers:
-                    op = case.family.instantiate(center, q=max(1, n - 1))
-                    basis = build_basis(op, p)
-                    ranks.add(numeric_rank(assemble_gpw_matrix(basis, n)))
+                ranks = {numeric_rank(assemble_gpw_matrix(b, n)) for b in build_basis(ops, p)}
                 observed = "/".join(str(r) for r in sorted(ranks))
                 lines.append(f"{n:2d} {p:3d} {reference:10d} {observed:>4}  {2 * n + 1:d}")
                 if (reference == 2 * n + 1) != (p >= 2 * n + 1) or ranks != {reference}:

@@ -150,9 +150,9 @@ def construct_gpw(
 
     The level matrix depends on the operator alone, so it is built once per
     level; the waves differ only in their right-hand sides.  A sequence of
-    operators of one family (see operator_batch) is solved in the same pass,
-    every array carrying a leading operator axis that one operator lacks,
-    and gives one list of waves per operator.
+    operators of one family (see operator_batch) is solved in the same pass
+    and gives one list of waves per operator.  One operator is a batch of
+    one: every array carries the operator axis, and only the result drops it.
     """
     ops = operator_batch(op)
     M, q = ops[0].M, ops[0].q
@@ -167,9 +167,7 @@ def construct_gpw(
     else:  # hypothesis 2, and with it 1, only when some pair is set by theta
         factorizations = [check_hypotheses(other) for other in ops]
 
-    batch = () if isinstance(op, PdeOperator) else (len(ops),)
-    arr = np.zeros(batch + (len(norms), tri_size(degree)), dtype=complex)
-    per_operator = arr.reshape(len(ops), len(norms), -1)  # a view, one operator or many
+    arr = np.zeros((len(ops), len(norms), tri_size(degree)), dtype=complex)
     for w, norm in enumerate(norms):
         for (i, j), value in norm.fixed_values.items():  # an explicit pair included
             if (i, j) == (0, 0):
@@ -185,7 +183,7 @@ def construct_gpw(
             np.array([math.cos(norm.theta), math.sin(norm.theta)], dtype=complex)
             for norm in norms
         ]
-        for rows, other, factorization in zip(per_operator, ops, factorizations):
+        for rows, other, factorization in zip(arr, ops, factorizations):
             # ((i kappa A^-1) D^-1/2) direction, grouped as always: folding
             # i kappa into A^-1 D^-1/2 would move the last bits
             lift = 1j * kappa_from_zeroth(other) * np.linalg.inv(factorization.A)
@@ -201,12 +199,12 @@ def construct_gpw(
 
     solved = 0
     for L in range(q):
-        T = level_matrix(op, L)
+        T = level_matrix(ops, L)
         # Residual cells of level L read phase coefficients of length at most
         # M+L, so the phases truncated there give them exactly; layer M+L
         # holds its fixed entries and zeros where this level's unknowns go.
         partial = TaylorSeries2(ops[0].center, M + L, arr[..., : tri_size(M + L)])
-        res = residual_series(op, partial, L)
+        res = residual_series(ops, partial, L)
         rhs = -res.coeffs[..., [index_of(I, L - I) for I in range(L + 1)]]
         # peel off previously substituted unknowns of the same level as we
         # walk down the triangle
@@ -225,7 +223,7 @@ def construct_gpw(
             GpwPolynomial(other, TaylorSeries2(other.center, degree, row), norm)
             for row, norm in zip(rows, norms)
         ]
-        for rows, other in zip(per_operator, ops)
+        for rows, other in zip(arr, ops)
     ]
     return waves[0] if isinstance(op, PdeOperator) else waves
 
@@ -272,13 +270,13 @@ def build_basis(
     if p < 1:
         raise ValueError("p must be positive")
     angles = basis_angles(p)
-    functions = construct_gpw(op, [GpwNormalization(theta=theta) for theta in angles])
-    if isinstance(op, PdeOperator):
-        return GpwBasis(operator=op, functions=functions, angles=angles)
-    return [
+    ops = operator_batch(op)
+    functions = construct_gpw(ops, [GpwNormalization(theta=theta) for theta in angles])
+    bases = [
         GpwBasis(operator=other, functions=waves, angles=angles)
-        for other, waves in zip(op, functions)
+        for other, waves in zip(ops, functions)
     ]
+    return bases[0] if isinstance(op, PdeOperator) else bases
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def numeric_rank(mat, tol: float = 1e-9) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorMatch:
     """Match coefficients, one row per row of weights when they are stacked,
     and the rows × p matrix and data they were solved against.

@@ -7,14 +7,14 @@ needs (nonvanishing leading coefficient; factorizable order-2 symbol:
 `check_hypotheses` returns the factorization or raises `HypothesisError`),
 and applies the induced operator on phases,
 
-    P  |->  L(e^P) / e^P - c_{0,0},
+    P  |->  L(e^P) / e^P,
 
-as truncated series arithmetic.  The derivative ratios E_{k,l} =
-d_x^k d_y^l(e^P)/e^P start at E_{1,0} = d_x P, E_{0,1} = d_y P and satisfy
-E_{k+1,l} = d_x E_{k,l} + (d_x P) E_{k,l}; each term c_{k,l} E_{k,l} is then
-one matrix product of the ratio rows with the multiplication matrix of
-c_{k,l}.  The partition-sum route in the test oracle `tests/faa_oracle.py`
-computes the same object combinatorially.
+as truncated series arithmetic (`residual_series`).  The derivative ratios
+E_{k,l} = d_x^k d_y^l(e^P)/e^P start at E_{1,0} = d_x P, E_{0,1} = d_y P and
+satisfy E_{k+1,l} = d_x E_{k,l} + (d_x P) E_{k,l}; each term c_{k,l} E_{k,l}
+is then one matrix product of the ratio rows with the multiplication matrix
+of c_{k,l}, and c_{0,0} is added last.  The partition-sum route in the test
+oracle `tests/faa_oracle.py` computes the same object combinatorially.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class PdeOperator:
         return self.coefficient_at_center(self.M, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolFactorization:
     """Congruence factorization gamma = A^T D A, D diagonal with no zero entry."""
 
@@ -194,25 +194,21 @@ def operator_batch(op: PdeOperator | Sequence[PdeOperator]) -> list[PdeOperator]
     return ops
 
 
-def _per_operator(op, arrays: list[np.ndarray], ndim: int) -> np.ndarray:
-    """Stack one array per operator and pad the stack to ndim axes after the
-    operator axis, so it broadcasts against phases with ndim axes (a matrix
-    against them under matmul); one operator keeps its array as it is."""
-    if isinstance(op, PdeOperator):
-        return arrays[0]
-    stacked = np.array(arrays)
-    return stacked.reshape(stacked.shape[:1] + (1,) * (ndim - stacked.ndim) + stacked.shape[1:])
-
-
-def apply_phase_operator(
+def residual_series(
     op: PdeOperator | Sequence[PdeOperator], P: TaylorSeries2, Q: int
 ) -> TaylorSeries2:
-    """Series of L(e^P)/e^P - c_{0,0} about the center, truncated at Q.
+    """Series of L(e^P)/e^P about the center, truncated at Q; identically
+    zero iff e^P solves L u = 0.
 
-    Needs P.order >= Q + M: each derivative ratio E_{k,l} loses k+l orders.
-    For a sequence of operators (see operator_batch) the leading axis of P
-    runs over them and at least one wave axis follows; row c holds phases
-    about the center of operator c, and P is labelled with the first one.
+    The phase P is an order-q quasi-solution exactly when all coefficients
+    of length < q vanish here.  Needs P.order >= Q + M: each derivative
+    ratio E_{k,l} loses k+l orders.  For a sequence of operators (see
+    operator_batch) the leading axis of P runs over them and at least one
+    wave axis follows; row c holds phases about the center of operator c,
+    and P is labelled with the first one.  One operator is a batch of one:
+    either way the ratios run on the phases as one flat batch, each
+    coefficient term takes them as (operators, waves, tri) rows with one
+    matrix per operator, and the result keeps the batch shape of P.
     """
     ops = operator_batch(op)
     first = ops[0]
@@ -227,10 +223,13 @@ def apply_phase_operator(
         )
     for other in ops:
         for (k, l), series in other.coeffs.items():
-            if k + l >= 1 and series.order < Q:
-                raise ValueError(f"coefficient ({k},{l}) order {series.order} < {Q}")
-    dx_phase = ts_derive(P, (1, 0))
-    dy_phase = ts_derive(P, (0, 1))
+            if series.order < Q:
+                name = "zeroth coefficient" if k + l == 0 else f"coefficient ({k},{l})"
+                raise ValueError(f"{name} order {series.order} < {Q}")
+    # one batch axis, not two: ts_mul pays for every axis it indexes
+    phases = TaylorSeries2(first.center, P.order, P.coeffs.reshape(-1, P.coeffs.shape[-1]))
+    dx_phase = ts_derive(phases, (1, 0))
+    dy_phase = ts_derive(phases, (0, 1))
     ratios: dict[Index, TaylorSeries2] = {(1, 0): dx_phase, (0, 1): dy_phase}
     for s in range(2, first.M + 1):
         for k in range(s, -1, -1):
@@ -246,32 +245,15 @@ def apply_phase_operator(
     for k, l in first.coeffs:
         if k + l < 1:
             continue
-        mats = _per_operator(op, [mul_matrix(o.coeffs[(k, l)], Q) for o in ops], P.coeffs.ndim)
-        term = ratios[(k, l)].coeffs[..., :n] @ mats.swapaxes(-1, -2)
+        mats = np.array([mul_matrix(other.coeffs[(k, l)], Q) for other in ops])
+        rows = ratios[(k, l)].coeffs[:, :n].reshape(len(ops), -1, n)  # (operators, waves, n)
+        term = rows @ mats.swapaxes(-1, -2)
         total = term if total is None else total + term
     if total is None:
         raise ValueError("operator has no derivative terms")
-    return TaylorSeries2(first.center, Q, total)
-
-
-def residual_series(
-    op: PdeOperator | Sequence[PdeOperator], P: TaylorSeries2, Q: int
-) -> TaylorSeries2:
-    """L(e^P)/e^P truncated at Q; identically zero iff e^P solves L u = 0.
-
-    The phase P is an order-q quasi-solution exactly when all coefficients
-    of length < q vanish here.  Takes a batch of operators as
-    apply_phase_operator does.
-    """
-    out = apply_phase_operator(op, P, Q)
-    zeroth = [other.coeffs.get((0, 0)) for other in operator_batch(op)]
-    if zeroth[0] is None:
-        return out
-    lowest = min(series.order for series in zeroth)
-    if lowest < Q:
-        raise ValueError(f"zeroth coefficient order {lowest} < {Q}")
-    added = _per_operator(op, [series.coeffs[: tri_size(Q)] for series in zeroth], P.coeffs.ndim)
-    return TaylorSeries2(out.center, Q, out.coeffs + added)
+    if (0, 0) in first.coeffs:  # after the derivative terms: the order fixes the last bits
+        total = total + np.array([other.coeffs[(0, 0)].coeffs[:n] for other in ops])[:, None]
+    return TaylorSeries2(first.center, Q, total.reshape(P.coeffs.shape[:-1] + (n,)))
 
 
 # ---------------------------------------------------------------------------

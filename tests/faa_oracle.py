@@ -6,7 +6,7 @@ partitions of (i, j) into distinct nonzero multi-indices with positive
 multiplicities.  Exponentially slower than the ratio recurrence that the
 production path uses, but trivially auditable; each side checks the other.
 The package never calls it: it is the test oracle for
-`gpw.operators.apply_phase_operator` and the construction's right-hand sides.
+`gpw.operators.residual_series` and the construction's right-hand sides.
 """
 
 from __future__ import annotations

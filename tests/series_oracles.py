@@ -80,7 +80,7 @@ def ts_affine(c0, cx, cy, center, order: int):
     return ts_from_dict(center, order, values)
 
 
-def apply_phase_operator_by_products(op, P, Q: int):
+def phase_operator_by_products(op, P, Q: int):
     """L(e^P)/e^P - c_{0,0} through the derivative-ratio recurrence started
     at E_{0,0} = 1, with every product, the coefficient terms included, a
     ts_mul."""

@@ -349,6 +349,13 @@ def test_csv_schema_shape():
     assert slopes == {"2"} and floors == {"0"}
 
 
+def test_reports_compare_by_identity():
+    # fields hold arrays, whose == has no single truth value
+    h = np.array([1.0, 0.5, 0.25])
+    a, b = _synthetic_report(h, h**2), _synthetic_report(h, h**2)
+    assert a == a and a != b
+
+
 def test_plotdata_blocks():
     h = np.array([1.0, 0.5, 0.25])
     r1 = ConvergenceReport(

@@ -39,7 +39,7 @@ from gpw.operators import (
 )
 from gpw.taylor2d import TaylorSeries2, graded_indices, index_of, tri_size
 from faa_oracle import phase_operator_series_oracle
-from series_oracles import apply_phase_operator_by_products
+from series_oracles import phase_operator_by_products
 
 
 # --- oracles ---------------------------------------------------------------
@@ -680,7 +680,7 @@ def test_defining_property_at_high_q(q):
             # the whole basis goes through the residual as one batch
             phases = np.stack([gpw.phase.coeffs for gpw in basis.functions])
             P = TaylorSeries2(op.center, q + 1, phases)
-            oracle = apply_phase_operator_by_products(op, P, q - 1)
+            oracle = phase_operator_by_products(op, P, q - 1)
             oracle += op.coeffs[(0, 0)].with_order(q - 1)
             scale = np.maximum(1.0, np.max(np.abs(phases), axis=-1))
             for res in (residual_series(op, P, q - 1), oracle):

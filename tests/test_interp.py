@@ -256,6 +256,13 @@ def test_match_reproduces_member_column():
     assert np.allclose(mat.coeffs.T @ match.coefficients, F, atol=1e-12)
 
 
+def test_matches_compare_by_identity():
+    # fields hold arrays, whose == has no single truth value
+    mat = assemble_gpw_matrix(build_basis(TRIG.instantiate((0.2, -0.4), q=2), 5), 2)
+    a, b = taylor_match(mat, mat.coeffs[0]), taylor_match(mat, mat.coeffs[0])
+    assert a == a and a != b
+
+
 def test_match_dimension_mismatch():
     op = TRIG.instantiate((0.2, -0.4), q=2)
     mat = assemble_gpw_matrix(build_basis(op, 5), 2)

@@ -11,7 +11,6 @@ from gpw.operators import (
     HypothesisError,
     OperatorFamily,
     PdeOperator,
-    apply_phase_operator,
     check_hypotheses,
     factor_principal_symbol,
     parse_coefficient,
@@ -27,7 +26,7 @@ from gpw.taylor2d import (
     ts_from_dict,
 )
 from faa_oracle import phase_operator_series_oracle
-from series_oracles import apply_phase_operator_by_products, ts_zero
+from series_oracles import phase_operator_by_products, ts_zero
 
 
 def helmholtz(center, q=2, coeff_order=None, kappa=1.0):
@@ -198,7 +197,10 @@ def test_plane_wave_phase_gives_constant():
         5,
         {(1, 0): 1j * kappa * math.cos(theta), (0, 1): 1j * kappa * math.sin(theta)},
     )
-    got = apply_phase_operator(op, P, 3)
+    # without its (0,0) term the operator leaves kappa^2
+    derivatives = {kl: series for kl, series in op.coeffs.items() if kl != (0, 0)}
+    laplacian = PdeOperator(M=2, center=center, coeffs=derivatives, q=op.q)
+    got = residual_series(laplacian, P, 3)
     want = ts_constant(kappa**2, center, 3)
     np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-12)
     res = residual_series(op, P, 3)
@@ -221,7 +223,7 @@ def test_constant_coefficient_of_normalized_order_two_operator():
     op = fam.instantiate(center, 1)
     rng = np.random.default_rng(8)
     P = random_series(rng, center, 2, zero_constant=True)
-    got = apply_phase_operator(op, P, 0)[(0, 0)]
+    got = residual_series(op, P, 0)[(0, 0)]  # the operator has no (0,0) term
     g11 = math.sin(center[0])
     g02 = 2 + center[0] * center[1]
     g10 = math.cos(center[1])
@@ -243,10 +245,10 @@ def test_constant_coefficient_of_normalized_order_two_operator():
 
 def test_apply_rejects_short_phase_and_wrong_center():
     op = helmholtz((0.0, 0.0), q=2, coeff_order=2)
-    with pytest.raises(ValueError):
-        apply_phase_operator(op, ts_zero((0.0, 0.0), 3), 2)
-    with pytest.raises(ValueError):
-        apply_phase_operator(op, ts_zero((1.0, 0.0), 4), 2)
+    with pytest.raises(ValueError, match=r"phase order 3 < Q \+ M = 4"):
+        residual_series(op, ts_zero((0.0, 0.0), 3), 2)
+    with pytest.raises(ValueError, match="phase centered at"):
+        residual_series(op, ts_zero((1.0, 0.0), 4), 2)
 
 
 @pytest.mark.parametrize("M", [2, 3])
@@ -257,7 +259,7 @@ def test_matches_partition_oracle(M):
     for _ in range(6):
         op = random_operator(rng, M, center, Q)
         P = random_series(rng, center, Q + M, zero_constant=True)
-        got = apply_phase_operator(op, P, Q)
+        got = residual_series(op, P, Q)
         want = phase_operator_series_oracle(op.coeffs, M, P, Q)
         scale = max(1.0, want.max_abs())
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-12, atol=1e-12 * scale)
@@ -269,19 +271,24 @@ def test_matches_partition_oracle(M):
 @settings(max_examples=60, deadline=None)
 def test_matches_product_recurrence(M, Q, p, seed):
     # p == 0 draws a single phase, p >= 1 a batch of p phases; the operator
-    # keeps a random nonempty subset of its derivative terms
+    # keeps a random nonempty subset of its derivative terms and half the
+    # time gains a (0,0) term, which the oracle leaves out
     rng = np.random.default_rng(seed)
     center = (0.3, -0.7)
     op = random_operator(rng, M, center, Q + int(rng.integers(0, 3)))
     keep = rng.random(len(op.coeffs)) < 0.7
     keep[rng.integers(len(keep))] = True
     coeffs = {kl: c for (kl, c), kept in zip(op.coeffs.items(), keep) if kept}
+    if rng.random() < 0.5:
+        coeffs[(0, 0)] = random_series(rng, center, Q)
     op = PdeOperator(M=M, center=center, coeffs=coeffs, q=1)
     order = Q + M + int(rng.integers(0, 3))
     shape = (p, tri_size(order)) if p else (tri_size(order),)
     P = TaylorSeries2(center, order, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    got = apply_phase_operator(op, P, Q)
-    want = apply_phase_operator_by_products(op, P, Q)
+    got = residual_series(op, P, Q)
+    want = phase_operator_by_products(op, P, Q)
+    if (0, 0) in coeffs:
+        want = want + coeffs[(0, 0)]
     assert got.coeffs.shape == want.coeffs.shape
     np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13 * want.max_abs())
 
@@ -304,7 +311,7 @@ def test_linear_part_split(M):
         linear = term if linear is None else linear + term
     oracle_linear = phase_operator_series_oracle(op.coeffs, M, P, Q, mu_min=1, mu_max=1)
     np.testing.assert_allclose(oracle_linear.coeffs, linear.coeffs, rtol=1e-12, atol=1e-12)
-    full = apply_phase_operator(op, P, Q)
+    full = residual_series(op, P, Q)
     products = phase_operator_series_oracle(op.coeffs, M, P, Q, mu_min=2)
     np.testing.assert_allclose(
         (full - products).coeffs, linear.coeffs, rtol=1e-11, atol=1e-11
@@ -352,6 +359,63 @@ def test_residual_of_zero_phase_is_zeroth_coefficient():
     op = fam.instantiate(center, 3, coeff_order=2)
     res = residual_series(op, ts_zero(center, 4), 2)
     np.testing.assert_allclose(res.coeffs, op.coeffs[(0, 0)].coeffs, atol=1e-15)
+
+
+def test_residual_over_operators_with_two_wave_axes_is_the_per_operator_calls():
+    terms = {(2, 0): "-1", (1, 1): "x*y", (0, 2): "-2", (0, 0): "cos(x)"}
+    fam = OperatorFamily(M=2, terms=terms)
+    rng = np.random.default_rng(12)
+    Q, order = 3, 5
+    ops = [fam.instantiate((0.1 * c, -0.2 * c), Q + 1) for c in range(3)]
+    shape = (len(ops), 2, 4, tri_size(order))
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = residual_series(ops, TaylorSeries2(ops[0].center, order, arr), Q)
+    assert got.coeffs.shape == shape[:-1] + (tri_size(Q),)
+    for row, op, phases in zip(got.coeffs, ops, arr):
+        alone = residual_series(op, TaylorSeries2(op.center, order, phases), Q)
+        assert np.array_equal(row, alone.coeffs)
+
+
+@pytest.mark.parametrize("waves", [(), (5,), (2, 3)], ids=["single", "waves", "two-axes"])
+def test_residual_of_one_operator_keeps_the_phase_shape(waves):
+    op = helmholtz((0.2, 0.4), q=3, coeff_order=2)
+    rng = np.random.default_rng(13)
+    shape = waves + (tri_size(4),)
+    P = TaylorSeries2(op.center, 4, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    got = residual_series(op, P, 2)
+    assert got.coeffs.shape == waves + (tri_size(2),)
+    flat = P.coeffs.reshape(-1, tri_size(4))
+    for row, phase in zip(got.coeffs.reshape(-1, tri_size(2)), flat):
+        alone = residual_series(op, TaylorSeries2(op.center, 4, phase), 2)
+        np.testing.assert_allclose(row, alone.coeffs, rtol=1e-15, atol=1e-15 * alone.max_abs())
+
+
+def test_residual_rejects_operators_it_cannot_apply():
+    center = (0.0, 0.0)
+    P = ts_zero(center, 4)
+    zeroth = {(0, 0): ts_constant(1.0, center, 2)}
+    zeroth_only = PdeOperator(M=2, center=center, coeffs=zeroth, q=1)
+    with pytest.raises(ValueError, match="operator has no derivative terms"):
+        residual_series(zeroth_only, P, 2)
+    short_zeroth = PdeOperator(
+        M=2,
+        center=center,
+        coeffs={
+            (2, 0): ts_constant(-1.0, center, 2),
+            (0, 2): ts_constant(-1.0, center, 2),
+            (0, 0): ts_constant(1.0, center, 1),
+        },
+        q=1,
+    )
+    with pytest.raises(ValueError, match="zeroth coefficient order 1 < 2"):
+        residual_series(short_zeroth, P, 2)
+    residual_series(short_zeroth, P, 1)  # enough for Q = 1
+
+
+def test_factorizations_compare_by_identity():
+    # fields hold arrays, whose == has no single truth value
+    a, b = factor_principal_symbol(np.eye(2)), factor_principal_symbol(np.eye(2))
+    assert a == a and a != b
 
 
 # ---------------------------------------------------------------------------
