@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .construction import build_basis
-from .interp import assemble_gpw_matrix, taylor_match
-from .operators import HypothesisError, OperatorFamily, check_hypotheses
+from .interp import assemble_gpw_matrix, least_tangency, taylor_match
+from .operators import HypothesisError, OperatorFamily
 from .special import (
     airy_derivative_stack,
     bessel_derivative_stack,
@@ -33,12 +33,20 @@ from .taylor2d import TaylorSeries2, indices, ts_derive, ts_mul
 logger = logging.getLogger(__name__)
 
 VALIDATION_TOL = 1e-9
-# the default study: H_COUNT radii log-spaced from H_MAX down to H_MIN, and
-# the seed the criterion-7 bands are gated at (at seed 0, JJ n=5 q=4 fits
-# 6.369, outside its band)
+VALIDATION_CENTERS, VALIDATION_SEED = 20, 0  # validate_case's default draw
+
+
+def log_radii(h_max: float, h_min: float, count: int) -> np.ndarray:
+    """``count`` radii log-spaced from h_max down to h_min."""
+    return np.logspace(math.log10(h_max), math.log10(h_min), count)
+
+
+# the default study: DEFAULT_CENTERS centers, H_COUNT radii log-spaced from
+# H_MAX down to H_MIN, and the seed the criterion-7 bands are gated at (at
+# seed 0, JJ n=5 q=4 fits 6.369, outside its band)
 H_MAX, H_MIN, H_COUNT = 1.0, 1e-6, 12
-DEFAULT_H_GRID = np.logspace(math.log10(H_MAX), math.log10(H_MIN), H_COUNT)
-DEFAULT_SEED = 1
+DEFAULT_H_GRID = log_radii(H_MAX, H_MIN, H_COUNT)
+DEFAULT_CENTERS, DEFAULT_SEED = 50, 1
 EDGE_MARGIN_FRACTION = 0.05
 SAMPLE_RADII = 8
 SAMPLE_ANGLES = 32
@@ -52,7 +60,6 @@ FLOOR_CLEARANCE = 100.0
 
 MIN_H_VALUES = 4  # fewest radii an order can be fitted through
 
-CASE_NAMES = ("Ad", "Jc", "JJ", "cs")  # builtin_cases(), in order
 CSV_HEADER = "case,n,q,p,seed,h,max_err,slope,floor"
 REPORT_FORMATS = ("csv", "plotdata")  # emit_report's formats
 
@@ -88,6 +95,11 @@ class TestCase:
     def values(self, center: tuple[float, float], xs, ys) -> np.ndarray:
         """The exact solution on point arrays near the center."""
         return self.expand(center, LOCAL_EXPANSION_ORDER)[1](xs, ys)
+
+    @cached_property
+    def validation(self) -> CaseValidation:
+        """validate_case(self) at its defaults, once per case object."""
+        return validate_case(self)
 
 
 def _local_values(stack: list[float], t0: float) -> Callable[..., np.ndarray]:
@@ -135,42 +147,25 @@ def builtin_cases() -> list[TestCase]:
     actually annihilates J_1(x) cos y); the sign as published elsewhere is
     retained on ``printed_family`` so validation can report both outcomes.
     """
+    jc_terms = {
+        (2, 0): "x**2",
+        (0, 2): "x**2",
+        (1, 0): "x",
+        (0, 1): "cos(y)",
+        (0, 0): "2*x**2 + sin(y) - 1",
+    }
     airy = TestCase(
         name="Ad",
-        family=OperatorFamily(
-            M=2,
-            terms={(2, 0): "-1", (0, 2): "-1", (0, 0): "2*x + 2*y"},
-            name="Ad",
-        ),
+        family=OperatorFamily(M=2, terms={(2, 0): "-1", (0, 2): "-1", (0, 0): "2*x + 2*y"}),
         domain=(-2.0, 2.0, -2.0, 2.0),
         expand=_airy_expand,
     )
     bessel_cos = TestCase(
         name="Jc",
-        family=OperatorFamily(
-            M=2,
-            terms={
-                (2, 0): "x**2",
-                (0, 2): "x**2",
-                (1, 0): "x",
-                (0, 1): "cos(y)",
-                (0, 0): "2*x**2 + sin(y) - 1",
-            },
-            name="Jc",
-        ),
+        family=OperatorFamily(M=2, terms=jc_terms),
         domain=(1.0, 4.0, 0.0, 2 * math.pi),
         expand=_bessel_cos_expand,
-        printed_family=OperatorFamily(
-            M=2,
-            terms={
-                (2, 0): "x**2",
-                (0, 2): "x**2",
-                (1, 0): "x",
-                (0, 1): "cos(y)",
-                (0, 0): "1 - 2*x**2 - sin(y)",
-            },
-            name="Jc-printed",
-        ),
+        printed_family=OperatorFamily(M=2, terms={**jc_terms, (0, 0): "1 - 2*x**2 - sin(y)"}),
     )
     bessel_product = TestCase(
         name="JJ",
@@ -183,7 +178,6 @@ def builtin_cases() -> list[TestCase]:
                 (0, 1): "y",
                 (0, 0): "x**2 + y**2 - 1",
             },
-            name="JJ",
         ),
         domain=(1.0, 3.0, 1.0, 3.0),
         expand=_bessel_product_expand,
@@ -198,12 +192,14 @@ def builtin_cases() -> list[TestCase]:
                 (0, 2): "-2",
                 (0, 0): "0.2*sin(x)*cos(y) - 1",
             },
-            name="cs",
         ),
         domain=(-1.0, 1.0, -1.0, 1.0),
         expand=_trig_expand,
     )
     return [airy, bessel_cos, bessel_product, trig]
+
+
+CASE_NAMES = tuple(case.name for case in builtin_cases())
 
 
 def case_by_name(name: str) -> TestCase:
@@ -281,7 +277,9 @@ def substitution_residual(family: OperatorFamily, u: TaylorSeries2) -> float:
     return total.max_abs()
 
 
-def validate_case(case: TestCase, trials: int = 20, seed: int = 0) -> CaseValidation:
+def validate_case(
+    case: TestCase, trials: int = VALIDATION_CENTERS, seed: int = VALIDATION_SEED
+) -> CaseValidation:
     """Check L u = 0 by direct series substitution at random centers."""
     require_centers(trials)
     rng = np.random.default_rng(seed)
@@ -426,14 +424,16 @@ def _require_fit_grid(h: np.ndarray) -> None:
 def run_convergence(
     case: TestCase,
     n: int,
-    q: int,
+    q: int | None = None,
     p: int | None = None,
-    num_centers: int = 50,
+    num_centers: int = DEFAULT_CENTERS,
     h_grid: Sequence[float] | None = None,
     seed: int = DEFAULT_SEED,
 ) -> ConvergenceReport:
     """Measure max disk errors of the matched local approximant vs. h.
 
+    q defaults to least_tangency(n), max(1, n - 1), and p to 2n + 1.  The
+    case's validation is read once per case object (``case.validation``).
     Draws random centers one at a time, redrawing (and logging) a center
     where the operator fails its hypotheses, then builds the local wave
     bases of all accepted centers in one batched build_basis call.  At each
@@ -449,11 +449,13 @@ def run_convergence(
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if q is None:
+        q = least_tangency(n)
+    if p is None:
+        p = 2 * n + 1
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
     require_centers(num_centers)
-    if p is None:
-        p = 2 * n + 1
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     h = np.asarray(DEFAULT_H_GRID if h_grid is None else h_grid, dtype=float)
@@ -465,11 +467,10 @@ def run_convergence(
     if h.size and not np.all(np.diff(h) < 0):
         raise ValueError("h grid must be strictly decreasing")
     _require_fit_grid(h)
-    validation = validate_case(case)
-    if not validation.passed:
+    if not case.validation.passed:
         raise ValueError(
             f"case {case.name} failed manufactured-solution validation "
-            f"(max residual {validation.max_residual:.3e})"
+            f"(max residual {case.validation.max_residual:.3e})"
         )
     rng = np.random.default_rng(seed)
     ops = []
@@ -481,7 +482,7 @@ def run_convergence(
         center = draw_centers(case, 1, rng)[0]
         op = case.family.instantiate(center, q=q)
         try:
-            check_hypotheses(op)
+            op.factorization  # both hypotheses at the center, checked once
         except HypothesisError as exc:
             logger.warning("redrew center %s for case %s: %s", center, case.name, exc)
             continue
@@ -519,49 +520,30 @@ def run_convergence(
 # --- report emission ----------------------------------------------------------
 
 
-def _as_report_list(
-    reports: ConvergenceReport | Iterable[ConvergenceReport],
-) -> list[ConvergenceReport]:
-    if isinstance(reports, ConvergenceReport):
-        return [reports]
-    return list(reports)
-
-
 def emit_report(
-    reports: ConvergenceReport | Iterable[ConvergenceReport],
-    path: str | Path | None = None,
-    format: str = "csv",
+    reports: ConvergenceReport | Iterable[ConvergenceReport], format: str = "csv"
 ) -> str:
-    """Serialize report(s) as CSV or gnuplot-style block data.
+    """Serialize report(s) as CSV or gnuplot-style block data; returns the text.
 
     CSV carries one row per h value with 17 significant digits (lossless for
     doubles); plotdata emits two-column "h err" blocks separated by blank
-    lines.  Returns the text; writes it to ``path`` when given.
+    lines.
     """
     if format not in REPORT_FORMATS:
         raise ValueError(
             f"unknown report format {format!r}; choose from {', '.join(REPORT_FORMATS)}"
         )
-    items = _as_report_list(reports)
+    items = [reports] if isinstance(reports, ConvergenceReport) else list(reports)
     if format == "csv":
-        lines = [CSV_HEADER]
-        for r in items:
-            for hv, ev in zip(r.h, r.errors):
-                lines.append(
-                    f"{r.case},{r.n},{r.q},{r.p},{r.seed},"
-                    f"{hv:.17g},{ev:.17g},{r.slope:.17g},{r.floor:.17g}"
-                )
-        text = "\n".join(lines) + "\n"
-    else:  # plotdata
-        blocks = []
-        for r in items:
-            blocks.append(
-                "\n".join(f"{hv:.17g} {ev:.17g}" for hv, ev in zip(r.h, r.errors))
-            )
-        text = "\n\n".join(blocks) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+        rows = [
+            f"{r.case},{r.n},{r.q},{r.p},{r.seed},"
+            f"{hv:.17g},{ev:.17g},{r.slope:.17g},{r.floor:.17g}"
+            for r in items
+            for hv, ev in zip(r.h, r.errors)
+        ]
+        return "\n".join([CSV_HEADER, *rows]) + "\n"
+    blocks = ["\n".join(f"{hv:.17g} {ev:.17g}" for hv, ev in zip(r.h, r.errors)) for r in items]
+    return "\n\n".join(blocks) + "\n"  # plotdata
 
 
 def read_report_csv(text: str) -> list[ConvergenceReport]:

@@ -35,16 +35,20 @@ import numpy as np
 
 from .bench import (
     CASE_NAMES,
+    DEFAULT_CENTERS,
     DEFAULT_SEED,
     H_COUNT,
     H_MAX,
     H_MIN,
     MIN_H_VALUES,
     REPORT_FORMATS,
+    VALIDATION_CENTERS,
+    VALIDATION_SEED,
     builtin_cases,
     case_by_name,
     draw_centers,
     emit_report,
+    log_radii,
     require_centers,
     run_convergence,
     validate_case,
@@ -56,7 +60,13 @@ from .construction import (
     construct_gpw,
     serialize_gpw,
 )
-from .interp import assemble_gpw_matrix, assemble_reference_matrix, numeric_rank
+from .interp import (
+    MatchingOrderWarning,
+    assemble_gpw_matrix,
+    assemble_reference_matrix,
+    least_tangency,
+    numeric_rank,
+)
 
 
 def _config_value(option: argparse.Action, raw: str) -> object:
@@ -140,9 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--case", choices=CASE_NAMES, help="one case (default: all four)"
     )
     validate.add_argument(
-        "--centers", type=int, default=20, help="random centers per case"
+        "--centers", type=int, default=VALIDATION_CENTERS, help="random centers per case"
     )
-    validate.add_argument("--seed", type=int, default=0)
+    validate.add_argument("--seed", type=int, default=VALIDATION_SEED)
     validate.add_argument("--out", help="write here instead of stdout")
     validate.set_defaults(func=cmd_validate)
 
@@ -168,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--q", type=int, help="order of tangency (default: max(1, n-1))"
     )
     convergence.add_argument("--p", type=int, help="basis size (default: 2n+1)")
-    convergence.add_argument("--centers", type=int, default=50)
+    convergence.add_argument("--centers", type=int, default=DEFAULT_CENTERS)
     convergence.add_argument("--seed", type=int, default=DEFAULT_SEED)
     convergence.add_argument("--hmin", type=float, default=H_MIN)
     convergence.add_argument("--hmax", type=float, default=H_MAX)
@@ -183,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     order_table.add_argument(
         "--case", choices=CASE_NAMES, help="one case (default: all four)"
     )
-    order_table.add_argument("--centers", type=int, default=50)
+    order_table.add_argument("--centers", type=int, default=DEFAULT_CENTERS)
     order_table.add_argument("--seed", type=int, default=DEFAULT_SEED)
     order_table.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     order_table.add_argument("--out", help="write all per-h error curves here")
@@ -246,7 +256,7 @@ def cmd_rank_study(args: argparse.Namespace) -> int:
         ]
         for n in orders:
             sizes = [args.p] if args.p is not None else [2 * n - 1, 2 * n, 2 * n + 1, 2 * n + 2]
-            ops = [case.family.instantiate(center, q=max(1, n - 1)) for center in centers]
+            ops = [case.family.instantiate(center, q=least_tangency(n)) for center in centers]
             for p in sizes:
                 reference = numeric_rank(assemble_reference_matrix(basis_angles(p), n))
                 ranks = {numeric_rank(assemble_gpw_matrix(b, n)) for b in build_basis(ops, p)}
@@ -263,7 +273,6 @@ def cmd_rank_study(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     case = case_by_name(args.case)
-    q = args.q if args.q is not None else max(1, args.n - 1)
     for flag, value in (("hmin", args.hmin), ("hmax", args.hmax)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -276,19 +285,16 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             f"--hcount: need at least {MIN_H_VALUES} h values to estimate an order, "
             f"got {args.hcount}"
         )
-    h_grid = np.logspace(math.log10(args.hmax), math.log10(args.hmin), args.hcount)
     report = run_convergence(
         case,
         n=args.n,
-        q=q,
+        q=args.q,
         p=args.p,
         num_centers=args.centers,
-        h_grid=h_grid,
+        h_grid=log_radii(args.hmax, args.hmin, args.hcount),
         seed=args.seed,
     )
-    text = emit_report(report, path=args.out, format=args.format)
-    if args.out is None:
-        sys.stdout.write(text)
+    _write(emit_report(report, format=args.format), args.out)
     return 0
 
 
@@ -299,10 +305,9 @@ def cmd_order_table(args: argparse.Namespace) -> int:
     require_centers(args.centers)
     orders, tangencies = range(1, 6), range(1, 5)
     reports = []
-    for name in [args.case] if args.case else CASE_NAMES:
-        case = case_by_name(name)
+    for case in [case_by_name(args.case)] if args.case else builtin_cases():
         print(
-            f"case {name}: fitted order, {args.centers} centers, "
+            f"case {case.name}: fitted order, {args.centers} centers, "
             f"seed {args.seed} (* = stagnation floor detected)"
         )
         print("q\\n " + "".join(f"{n:>9}" for n in orders))
@@ -312,9 +317,7 @@ def cmd_order_table(args: argparse.Namespace) -> int:
                 try:
                     with warnings.catch_warnings():
                         # sweeping q < n-1 cells is the point of this table
-                        warnings.filterwarnings(
-                            "ignore", message=".*not guaranteed to reach order.*"
-                        )
+                        warnings.simplefilter("ignore", MatchingOrderWarning)
                         report = run_convergence(
                             case, n=n, q=q, num_centers=args.centers, seed=args.seed
                         )
@@ -327,7 +330,7 @@ def cmd_order_table(args: argparse.Namespace) -> int:
             print(f"{q:>3} " + "".join(cells))
         print()
     if args.out:
-        emit_report(reports, path=args.out, format=args.format)
+        _write(emit_report(reports, format=args.format), args.out)
         print(f"wrote {len(reports)} error curves to {args.out}")
     return 0
 

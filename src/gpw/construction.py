@@ -24,7 +24,6 @@ import numpy as np
 
 from gpw.operators import (
     PdeOperator,
-    check_hypotheses,
     operator_batch,
     principal_sqrt,
     require_hyp1,
@@ -165,7 +164,7 @@ def construct_gpw(
         for other in ops:
             require_hyp1(other)
     else:  # hypothesis 2, and with it 1, only when some pair is set by theta
-        factorizations = [check_hypotheses(other) for other in ops]
+        factorizations = [other.factorization for other in ops]
 
     arr = np.zeros((len(ops), len(norms), tri_size(degree)), dtype=complex)
     for w, norm in enumerate(norms):

@@ -21,19 +21,31 @@ import numpy as np
 from gpw.construction import GpwBasis
 from gpw.taylor2d import TaylorSeries2, indices, tri_size, ts_exp
 
+RANK_RTOL = 1e-9  # numeric_rank counts singular values above this times the largest
+
+
+class MatchingOrderWarning(UserWarning):
+    """A basis of order q < n - 1 matched to order n: not guaranteed to reach it."""
+
+
+def least_tangency(n: int) -> int:
+    """The smallest q that guarantees matching to order n: max(1, n - 1)."""
+    return max(1, n - 1)
+
 
 def assemble_gpw_matrix(basis: GpwBasis, n: int) -> TaylorSeries2:
     """The order-n series of exp(phase_l), one row per wave of the basis.
 
     Phases of degree below n are zero-padded (exact: they are polynomials);
     all p phases are exponentiated in one batched ts_exp call.  Matching
-    theory wants q >= n - 1; below that the matrix still assembles but loses
-    its range guarantee, so warn.
+    theory wants q >= least_tangency(n); below that the matrix still
+    assembles but loses its range guarantee, so warn.
     """
-    if basis.operator.q < n - 1:
+    if basis.operator.q < least_tangency(n):
         warnings.warn(
             f"basis built with q={basis.operator.q} < n-1={n - 1}: "
             "matching is not guaranteed to reach order n",
+            MatchingOrderWarning,
             stacklevel=2,
         )
     order = max([n] + [gpw.degree for gpw in basis.functions])
@@ -59,14 +71,14 @@ def assemble_reference_matrix(angles, n: int) -> TaylorSeries2:
     return TaylorSeries2((0.0, 0.0), n, coeffs)
 
 
-def numeric_rank(mat, tol: float = 1e-9) -> int:
-    """Count of singular values above tol times the largest one.  A batch of
-    series counts as its rows × p matrix, any other input as an array."""
+def numeric_rank(mat) -> int:
+    """Count of singular values above RANK_RTOL times the largest.  A batch
+    of series counts as its rows × p matrix, any other input as an array."""
     entries = mat.coeffs.T if isinstance(mat, TaylorSeries2) else np.asarray(mat)
     s = np.linalg.svd(entries, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 @dataclass(frozen=True, eq=False)

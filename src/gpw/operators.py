@@ -24,6 +24,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -99,6 +100,12 @@ class PdeOperator:
     def principal_at_center(self) -> complex:
         """Value of the (M, 0) coefficient at the center (Hypothesis 1 pivot)."""
         return self.coefficient_at_center(self.M, 0)
+
+    @cached_property
+    def factorization(self) -> SymbolFactorization:
+        """check_hypotheses(self), computed once and shared by a study's
+        redraw check and the construction; a HypothesisError recurs on read."""
+        return check_hypotheses(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +358,6 @@ class OperatorFamily:
 
     M: int
     terms: dict[Index, str]
-    name: str = ""
 
     def __post_init__(self) -> None:
         for k, l in self.terms:

@@ -17,8 +17,10 @@ Bessel functions J_nu.  Three layers:
 
 from __future__ import annotations
 
+import itertools
 import math
 from decimal import Decimal, localcontext
+from typing import Iterator
 
 import numpy as np
 
@@ -31,34 +33,21 @@ _AIRY_AT_ZERO = Decimal("0.355028053887817239260063186004183176397979174")
 _AIRY_SLOPE_AT_ZERO = Decimal("-0.258819403792806798405183560189203963479091138")
 
 
-def airy_seed(z: float) -> tuple[float, float]:
-    """(Ai(z), Ai'(z)) by Maclaurin summation in high-precision decimals.
+def _seed_sum(terms: Iterator[tuple[Decimal, Decimal]]) -> tuple[float, float]:
+    """Sum (value, slope) term pairs in SEED_PRECISION-digit decimals.
 
-    The coefficients of y'' = z y obey a_m = a_{m-3} / (m (m-1)), giving two
-    interlaced chains seeded by the value and slope at the origin; the series
-    for Ai' reuses the same coefficients term by term.
+    Stops after four value terms in a row fall below 1e-45 times the
+    running |value| + |slope|, or after SEED_MAX_TERMS terms.  The terms are
+    computed as they are drawn, inside the same decimal context.
     """
+    tiny = Decimal("1e-45")
     with localcontext() as ctx:
         ctx.prec = SEED_PRECISION
-        zd = Decimal(z)
-        # chain[m % 3] holds a_{m-3} on entry to turn m, a_m after the update.
-        chain = [_AIRY_AT_ZERO, _AIRY_SLOPE_AT_ZERO, Decimal(0)]
-        value = Decimal(0)
-        slope = Decimal(0)
-        prev_power = Decimal(0)  # z^(m-1)
-        power = Decimal(1)  # z^m
-        tiny = Decimal("1e-45")
+        value = slope = Decimal(0)
         quiet = 0
-        for m in range(SEED_MAX_TERMS):
-            if m >= 3:
-                chain[m % 3] /= m * (m - 1)
-            a = chain[m % 3]
-            term = a * power
+        for term, slope_term in itertools.islice(terms, SEED_MAX_TERMS):
             value += term
-            if m >= 1:
-                slope += m * a * prev_power
-            prev_power = power
-            power *= zd
+            slope += slope_term
             scale = abs(value) + abs(slope) + tiny
             if abs(term) < tiny * scale:
                 quiet += 1
@@ -67,6 +56,30 @@ def airy_seed(z: float) -> tuple[float, float]:
             else:
                 quiet = 0
         return float(value), float(slope)
+
+
+def airy_seed(z: float) -> tuple[float, float]:
+    """(Ai(z), Ai'(z)) by Maclaurin summation in high-precision decimals.
+
+    The coefficients of y'' = z y obey a_m = a_{m-3} / (m (m-1)), giving two
+    interlaced chains seeded by the value and slope at the origin; the series
+    for Ai' reuses the same coefficients term by term.
+    """
+
+    def terms():
+        zd = Decimal(z)
+        # chain[m % 3] holds a_{m-3} on entry to turn m, a_m after the update.
+        chain = [_AIRY_AT_ZERO, _AIRY_SLOPE_AT_ZERO, Decimal(0)]
+        prev_power, power = Decimal(0), Decimal(1)  # z^(m-1), z^m
+        for m in itertools.count():
+            if m >= 3:
+                chain[m % 3] /= m * (m - 1)
+            a = chain[m % 3]
+            yield a * power, m * a * prev_power
+            prev_power = power
+            power *= zd
+
+    return _seed_sum(terms())
 
 
 def bessel_seed(nu: int, x: float) -> tuple[float, float]:
@@ -80,28 +93,17 @@ def bessel_seed(nu: int, x: float) -> tuple[float, float]:
     """
     if x <= 0:
         raise ValueError(f"Bessel stack needs x > 0, got {x}")
-    with localcontext() as ctx:
-        ctx.prec = SEED_PRECISION
+
+    def terms():
         xd = Decimal(x)
         half_sq = (xd / 2) ** 2
         term = (xd / 2) ** nu / math.factorial(nu)
-        value = Decimal(0)
-        slope = Decimal(0)
-        tiny = Decimal("1e-45")
-        quiet = 0
-        for m in range(SEED_MAX_TERMS):
+        for m in itertools.count():
             if m:
                 term = -term * half_sq / (m * (m + nu))
-            value += term
-            slope += term * (2 * m + nu) / xd
-            scale = abs(value) + abs(slope) + tiny
-            if abs(term) < tiny * scale:
-                quiet += 1
-                if quiet >= 4:
-                    break
-            else:
-                quiet = 0
-        return float(value), float(slope)
+            yield term, term * (2 * m + nu) / xd
+
+    return _seed_sum(terms())
 
 
 def airy_derivative_stack(z: float, count: int) -> list[float]:

@@ -354,40 +354,31 @@ def ts_constant(value, center, order: int) -> TaylorSeries2:
     return TaylorSeries2(center, order, arr)
 
 
-def _check_axis(axis: str) -> None:
+def _along_axis(axis: str, center, order: int, coefficient) -> TaylorSeries2:
+    """A function of x or y alone about the center: coefficient(t0, k) is its
+    k-th scaled coefficient, t0 the center's coordinate on that axis."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
+    t0 = center[0] if axis == "x" else center[1]
+    cells = [(k, 0) if axis == "x" else (0, k) for k in range(order + 1)]
+    return ts_from_dict(center, order, {ij: coefficient(t0, k) for k, ij in enumerate(cells)})
 
 
 def ts_coordinate(axis: str, center, order: int) -> TaylorSeries2:
     """The coordinate function x or y, expanded about the center."""
-    _check_axis(axis)
-    c0 = center[0] if axis == "x" else center[1]
-    values: dict[Index, complex] = {(0, 0): c0}
-    if order >= 1:
-        values[(1, 0) if axis == "x" else (0, 1)] = 1
-    return ts_from_dict(center, order, values)
+    return _along_axis(axis, center, order, lambda t0, k: (t0, 1, 0)[min(k, 2)])
 
 
-def _sine_table(c0: float, order: int) -> list[float]:
-    # k-th scaled coefficient of sin about c0: sin(c0 + k pi/2) / k!
-    return [math.sin(c0 + k * math.pi / 2) / math.factorial(k) for k in range(order + 1)]
+def _sine(shift: float):
+    # k-th scaled coefficient of sin(t + shift) about t0: sin(t0 + shift + k pi/2) / k!
+    return lambda t0, k: math.sin(t0 + shift + k * math.pi / 2) / math.factorial(k)
 
 
 def ts_sin(axis: str, center, order: int) -> TaylorSeries2:
     """sin(x) or sin(y) about the center."""
-    _check_axis(axis)
-    c0 = center[0] if axis == "x" else center[1]
-    table = _sine_table(c0, order)
-    values = {((k, 0) if axis == "x" else (0, k)): table[k] for k in range(order + 1)}
-    return ts_from_dict(center, order, values)
+    return _along_axis(axis, center, order, _sine(0.0))
 
 
 def ts_cos(axis: str, center, order: int) -> TaylorSeries2:
-    """cos(x) or cos(y) about the center."""
-    _check_axis(axis)
-    c0 = center[0] if axis == "x" else center[1]
-    table = _sine_table(c0 + math.pi / 2, order)
-    values = {((k, 0) if axis == "x" else (0, k)): table[k] for k in range(order + 1)}
-    return ts_from_dict(center, order, values)
-
+    """cos(x) or cos(y) about the center: sin shifted by pi/2."""
+    return _along_axis(axis, center, order, _sine(math.pi / 2))

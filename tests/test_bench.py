@@ -6,7 +6,9 @@ Maclaurin products for the trigonometric case, and synthetic error curves
 with known slopes and floors for the order estimator.
 """
 
+import inspect
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -31,6 +33,7 @@ from gpw.bench import (
     validate_case,
 )
 import gpw.bench
+import gpw.operators
 import gpw.special
 from gpw.construction import build_basis
 from gpw.interp import assemble_gpw_matrix, taylor_match
@@ -393,14 +396,9 @@ def test_read_report_csv_malformed():
         read_report_csv(CSV_HEADER + "\ncs,1,1,3,0,1.0\n")
 
 
-def test_emit_report_writes_file(tmp_path):
-    h = np.array([1.0, 0.1, 0.01, 0.001])
-    report = ConvergenceReport(
-        case="cs", n=1, q=1, p=3, seed=0, h=h, errors=h**2, slope=2.0, floor=0.0
-    )
-    out = tmp_path / "report.csv"
-    text = emit_report(report, path=out, format="csv")
-    assert out.read_text() == text
+def test_emit_report_returns_text_and_writes_no_file():
+    # the CLI's --out is the one writer of report files
+    assert list(inspect.signature(emit_report).parameters) == ["reports", "format"]
 
 
 # --- convergence runs --------------------------------------------------------------
@@ -492,7 +490,7 @@ def test_run_convergence_redraws_only_on_hypothesis_errors(monkeypatch, caplog):
         return fake
 
     hypothesis_failure = HypothesisError("no usable symbol factorization")
-    monkeypatch.setattr(gpw.bench, "check_hypotheses", first_center_fails(hypothesis_failure))
+    monkeypatch.setattr(gpw.operators, "check_hypotheses", first_center_fails(hypothesis_failure))
     with caplog.at_level("WARNING", logger="gpw.bench"):
         report = run_convergence(case, n=1, q=1, num_centers=2, seed=3)
     assert len(calls) == 3 and report.errors.shape == report.h.shape
@@ -500,10 +498,49 @@ def test_run_convergence_redraws_only_on_hypothesis_errors(monkeypatch, caplog):
 
     calls.clear()
     plain_failure = ValueError("bad argument")
-    monkeypatch.setattr(gpw.bench, "check_hypotheses", first_center_fails(plain_failure))
+    monkeypatch.setattr(gpw.operators, "check_hypotheses", first_center_fails(plain_failure))
     with pytest.raises(ValueError, match="bad argument"):
         run_convergence(case, n=1, q=1, num_centers=2, seed=3)
     assert len(calls) == 1
+
+
+def test_study_checks_each_drawn_center_once(monkeypatch):
+    # the redraw loop and the construction share one factorization per
+    # operator; every module's binding is counted, as the benchmark tracer does
+    calls = []
+
+    def counted(op):
+        calls.append(op.center)
+        return check_hypotheses(op)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gpw") and getattr(module, "check_hypotheses", None) is check_hypotheses:
+            monkeypatch.setattr(module, "check_hypotheses", counted)
+    run_convergence(case_by_name("cs"), n=2, q=1, num_centers=3, seed=3)
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_studies_on_one_case_object_validate_it_once(monkeypatch):
+    calls = []
+
+    def counted(case, *args, **kwargs):
+        calls.append(case.name)
+        return validate_case(case, *args, **kwargs)
+
+    monkeypatch.setattr(gpw.bench, "validate_case", counted)
+    case = case_by_name("cs")
+    run_convergence(case, n=1, q=1, num_centers=2, seed=3)
+    run_convergence(case, n=2, q=1, num_centers=2, seed=3)
+    assert calls == ["cs"]
+    run_convergence(case_by_name("cs"), n=1, q=1, num_centers=2, seed=3)
+    assert calls == ["cs", "cs"]  # case_by_name gives a fresh case object
+
+
+def test_run_convergence_q_defaults_to_least_tangency():
+    case = case_by_name("cs")
+    default = run_convergence(case, n=3, num_centers=2, seed=3)
+    assert default.q == 2
+    assert emit_report(default) == emit_report(run_convergence(case, n=3, q=2, num_centers=2, seed=3))
 
 
 def test_run_convergence_at_one_center():

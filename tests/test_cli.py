@@ -4,6 +4,7 @@ Runs everything in-process through ``gpw.cli.main`` so exit codes and
 output are asserted directly.
 """
 
+import inspect
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from gpw.bench import (
     emit_report,
     read_report_csv,
     run_convergence,
+    validate_case,
 )
 from gpw.cli import build_parser, main, read_config
 from gpw.construction import build_basis, parse_gpw_text, serialize_gpw
@@ -232,6 +234,14 @@ def test_study_defaults_have_one_home(capsys):
     (report,) = read_report_csv(want)
     assert report.seed == DEFAULT_SEED
     assert build_parser().parse_args(["order-table"]).seed == DEFAULT_SEED
+    # both study commands draw run_convergence's default number of centers
+    default_centers = inspect.signature(run_convergence).parameters["num_centers"].default
+    for command in (["convergence", "--case", "cs", "--n", "1"], ["order-table"]):
+        assert build_parser().parse_args(command).centers == default_centers
+    # gpw validate draws the centers validate_case draws by default
+    validate = build_parser().parse_args(["validate"])
+    defaults = inspect.signature(validate_case).parameters
+    assert (validate.centers, validate.seed) == (defaults["trials"].default, defaults["seed"].default)
 
 
 def test_convergence_grid_flags(capsys):

@@ -112,14 +112,12 @@ def helmholtz(kappa=1.0):
     return OperatorFamily(
         M=2,
         terms={(2, 0): "-1", (0, 2): "-1", (0, 0): f"-{kappa**2!r}"},
-        name="helmholtz",
     )
 
 
 AIRY = OperatorFamily(
     M=2,
     terms={(2, 0): "-1", (0, 2): "-1", (0, 0): "2*x + 2*y"},
-    name="airy",
 )
 
 MIXED = OperatorFamily(
@@ -130,7 +128,6 @@ MIXED = OperatorFamily(
         (0, 2): "-2",
         (0, 0): "0.2*sin(x)*cos(y) - 1",
     },
-    name="mixed",
 )
 
 PRODUCT = OperatorFamily(
@@ -142,7 +139,6 @@ PRODUCT = OperatorFamily(
         (0, 1): "y",
         (0, 0): "x**2 + y**2 - 1",
     },
-    name="product",
 )
 
 
