@@ -436,9 +436,11 @@ def run_convergence(
     case's validation is read once per case object (``case.validation``).
     Draws random centers one at a time, redrawing (and logging) a center
     where the operator fails its hypotheses, then builds the local wave
-    bases of all accepted centers in one batched build_basis call.  At each
-    center one taylor_match call matches the solution's Taylor data through
-    order n once per radius h, with conditions weighted by h^(row order) —
+    bases of all accepted centers in one batched build_basis call and their
+    order-n wave series in one assemble_gpw_matrix call.  At each center one
+    taylor_match call matches the solution's Taylor data through order n
+    once per radius h, all radii in one stacked solve, with conditions
+    weighted by h^(row order) —
     the match is calibrated to the disk it is judged on, so mismatches that
     a short basis cannot avoid land on the conditions that matter least at
     that radius.  The Taylor data and the exact values on the disks come
@@ -490,10 +492,11 @@ def run_convergence(
     row_weights = h[:, None] ** np.array([k1 + k2 for k1, k2 in indices(n)], dtype=float)
     point_count = SAMPLE_RADII * SAMPLE_ANGLES + 1
     per_center = np.zeros((num_centers, h.size))
-    for c, basis in enumerate(build_basis(ops, p)):
+    bases = build_basis(ops, p)
+    waves = assemble_gpw_matrix(bases, n).coeffs  # (centers, p, rows)
+    for c, basis in enumerate(bases):
         center = basis.operator.center
         F, values = _local_expansion(case, center, n)
-        waves = assemble_gpw_matrix(basis, n)
         xs, ys = disk_points(center, h)
         exact = values(xs, ys).reshape(h.size, point_count)
         phases = TaylorSeries2(
@@ -503,7 +506,9 @@ def run_convergence(
         np.exp(members, out=members)
         # rcond=None: the weighted rows span many orders of magnitude by
         # design, so only the machine-precision rank cutoff is safe here.
-        match = taylor_match(waves, F, rcond=None, row_weights=row_weights)
+        match = taylor_match(
+            TaylorSeries2(center, n, waves[c]), F, rcond=None, row_weights=row_weights
+        )
         # one disk per radius: (h, points, p) @ (h, p, 1)
         approx = members.reshape(h.size, point_count, -1) @ match.coefficients[:, :, None]
         errs = np.max(np.abs(exact - approx[..., 0]), axis=1)

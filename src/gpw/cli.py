@@ -14,9 +14,10 @@ Config files
 are the long option names of the chosen subcommand without the leading
 dashes (``case = cs``, ``hmin = 1e-4``); the ``center`` key takes two
 numbers (``center = 0.5 -0.5``, comma optional).  Each value is converted
-and checked as its flag would be.  ``#`` starts a comment and blank lines
-are skipped.  Values from the file override values given on the command
-line, and a required option may come from the file alone.
+and checked as its flag would be, and an error names the key and the bad
+value.  ``#`` starts a comment and blank lines are skipped.  Values from
+the file override values given on the command line, and a required option
+may come from the file alone.
 
 ``order-table`` prints its table to stdout; its ``--out`` file holds the
 per-h error curves of every study in the table.
@@ -74,7 +75,15 @@ def _config_value(option: argparse.Action, raw: str) -> object:
     parts = raw.replace(",", " ").split() if option.nargs else [raw]
     if option.nargs and len(parts) != option.nargs:
         raise ValueError(f"{option.dest} needs {option.nargs} numbers, got {raw!r}")
-    values = [(option.type or str)(part) for part in parts]
+    convert = option.type or str
+    values = []
+    for part in parts:
+        try:
+            values.append(convert(part))
+        except ValueError:
+            raise ValueError(
+                f"config key {option.dest}: invalid {convert.__name__} value {part!r}"
+            ) from None
     for value in values:
         if option.choices is not None and value not in option.choices:
             raise ValueError(
@@ -259,7 +268,8 @@ def cmd_rank_study(args: argparse.Namespace) -> int:
             ops = [case.family.instantiate(center, q=least_tangency(n)) for center in centers]
             for p in sizes:
                 reference = numeric_rank(assemble_reference_matrix(basis_angles(p), n))
-                ranks = {numeric_rank(assemble_gpw_matrix(b, n)) for b in build_basis(ops, p)}
+                waves = assemble_gpw_matrix(build_basis(ops, p), n).coeffs  # (centers, p, rows)
+                ranks = {numeric_rank(rows.T) for rows in waves}
                 observed = "/".join(str(r) for r in sorted(ranks))
                 lines.append(f"{n:2d} {p:3d} {reference:10d} {observed:>4}  {2 * n + 1:d}")
                 if (reference == 2 * n + 1) != (p >= 2 * n + 1) or ranks != {reference}:

@@ -32,7 +32,7 @@ import numpy as np
 from gpw.taylor2d import (
     Index,
     TaylorSeries2,
-    mul_matrix,
+    mul_matrices,
     tri_size,
     ts_constant,
     ts_coordinate,
@@ -187,18 +187,26 @@ def require_hyp1(op: PdeOperator) -> None:
         raise HypothesisError(f"leading coefficient vanishes at the center {op.center}")
 
 
-def operator_batch(op: PdeOperator | Sequence[PdeOperator]) -> list[PdeOperator]:
-    """The operators of a batch: [op] for one operator, else the sequence,
-    which must be non-empty and share M, q and the coefficient indices in one
-    order, so every operator sums its terms alike."""
-    if isinstance(op, PdeOperator):
-        return [op]
-    ops = list(op)
-    if not ops:
-        raise ValueError("need at least one operator")
-    if len({(other.M, other.q, tuple(other.coeffs)) for other in ops}) > 1:
-        raise ValueError("operators of a batch differ in M, q or coefficient indices")
-    return ops
+class OperatorBatch(tuple):
+    """Operators checked once, when the batch is made: non-empty, and sharing
+    M, q and the coefficient indices in one order, so every operator sums its
+    terms alike.  Passed on, a batch is not checked again."""
+
+    def __new__(cls, ops: Sequence[PdeOperator]) -> OperatorBatch:
+        batch = super().__new__(cls, ops)
+        if not batch:
+            raise ValueError("need at least one operator")
+        if len({(other.M, other.q, tuple(other.coeffs)) for other in batch}) > 1:
+            raise ValueError("operators of a batch differ in M, q or coefficient indices")
+        return batch
+
+
+def operator_batch(op: PdeOperator | Sequence[PdeOperator]) -> OperatorBatch:
+    """The operators of a batch: (op,) for one operator, the batch itself for
+    an OperatorBatch, else the sequence, checked as an OperatorBatch."""
+    if isinstance(op, OperatorBatch):
+        return op
+    return OperatorBatch([op] if isinstance(op, PdeOperator) else op)
 
 
 def residual_series(
@@ -249,17 +257,21 @@ def residual_series(
                 step = ts_derive(prev, (0, 1)) + ts_mul(dy_phase, prev, order=prev.order - 1)
             ratios[(k, l)] = step
     n, total = tri_size(Q), None
-    for k, l in first.coeffs:
+    # each term's coefficient rows through order Q, one row per operator
+    coefficients = {
+        kl: np.array([other.coeffs[kl].coeffs[:n] for other in ops]) for kl in first.coeffs
+    }
+    for (k, l), stacked in coefficients.items():
         if k + l < 1:
             continue
-        mats = np.array([mul_matrix(other.coeffs[(k, l)], Q) for other in ops])
+        mats = mul_matrices(stacked, Q)  # (operators, n, n)
         rows = ratios[(k, l)].coeffs[:, :n].reshape(len(ops), -1, n)  # (operators, waves, n)
         term = rows @ mats.swapaxes(-1, -2)
         total = term if total is None else total + term
     if total is None:
         raise ValueError("operator has no derivative terms")
-    if (0, 0) in first.coeffs:  # after the derivative terms: the order fixes the last bits
-        total = total + np.array([other.coeffs[(0, 0)].coeffs[:n] for other in ops])[:, None]
+    if (0, 0) in coefficients:  # after the derivative terms: the order fixes the last bits
+        total = total + coefficients[(0, 0)][:, None]
     return TaylorSeries2(first.center, Q, total.reshape(P.coeffs.shape[:-1] + (n,)))
 
 

@@ -291,7 +291,17 @@ def mul_matrix(a: TaylorSeries2, order: int) -> np.ndarray:
     _require_single(a)
     if order > a.order:
         raise ValueError(f"truncation order {order} exceeds input order {a.order}")
-    return np.append(a.coeffs[: tri_size(order)], 0)[_mul_matrix_plan(order)]
+    return mul_matrices(a.coeffs, order)
+
+
+def mul_matrices(rows: np.ndarray, order: int) -> np.ndarray:
+    """mul_matrix of every row of raw triangular coefficients (..., m) with
+    m >= tri_size(order), gathered in one step: shape (..., n, n) with
+    n = tri_size(order)."""
+    n = tri_size(order)
+    padded = np.zeros(rows.shape[:-1] + (n + 1,), dtype=complex)
+    padded[..., :n] = rows[..., :n]
+    return padded[..., _mul_matrix_plan(order)]
 
 
 def ts_derive(a: TaylorSeries2, d: Index) -> TaylorSeries2:

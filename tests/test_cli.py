@@ -5,7 +5,6 @@ output are asserted directly.
 """
 
 import inspect
-import math
 import warnings
 
 import numpy as np
@@ -413,6 +412,20 @@ def test_config_bad_case_value_fails(tmp_path, capsys):
     cfg.write_text("case = nope\n")
     assert main(["validate", "--config", str(cfg)]) == 1
     assert "unknown case 'nope'" in capsys.readouterr().err
+
+
+def test_config_bad_number_names_the_key_and_value(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    for text, want in (
+        ("n = x\n", "config key n: invalid int value 'x'"),
+        ("hmin = tiny\n", "config key hmin: invalid float value 'tiny'"),
+    ):
+        cfg.write_text(text)
+        assert main(["convergence", "--case", "cs", "--config", str(cfg)]) == 1
+        assert f"error: {want}\n" == capsys.readouterr().err
+    cfg.write_text("center = 0.25 y\n")
+    assert main(["construct", "--case", "cs", "--config", str(cfg)]) == 1
+    assert "config key center: invalid float value 'y'" in capsys.readouterr().err
 
 
 def test_read_config_grammar(tmp_path):

@@ -8,7 +8,6 @@ and ``level_rhs``, the right-hand side read off the residual of a phase whose
 unsolved layers are cleared.  The production path never sees any of them.
 """
 
-import cmath
 import json
 import math
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpw.operators
 from gpw.construction import (
     GpwNormalization,
     basis_angles,
@@ -32,8 +32,10 @@ from gpw.bench import case_by_name, draw_centers
 from gpw.operators import (
     HYP1_RTOL,
     HypothesisError,
+    OperatorBatch,
     OperatorFamily,
     check_hypotheses,
+    operator_batch,
     principal_symbol_matrix,
     residual_series,
 )
@@ -725,6 +727,32 @@ def test_operator_batches_must_share_one_family():
     P = TaylorSeries2(a.center, 3, np.zeros((3, 2, tri_size(3))))
     with pytest.raises(ValueError, match="one row of waves per operator"):
         residual_series([a, a], P, 1)
+
+
+def test_a_batch_is_checked_once_per_construction(monkeypatch):
+    # build_basis checks its operators once; construct_gpw, level_matrix and
+    # residual_series take the checked batch on without checking it again
+    checked = []
+
+    class Counted(OperatorBatch):
+        def __new__(cls, ops):
+            checked.append(len(ops))
+            return super().__new__(cls, ops)
+
+    monkeypatch.setattr(gpw.operators, "OperatorBatch", Counted)
+    ops = [MIXED.instantiate(center, q=3) for center in ((0.3, -0.6), (-0.1, 0.4))]
+    build_basis(ops, 5)
+    construct_gpw(ops[0], [GpwNormalization(theta=0.4)])
+    assert checked == [2, 1]
+    batch = operator_batch(ops)
+    assert operator_batch(batch) is batch
+    # the public entry points still check what they are given
+    other = MIXED.instantiate((0.1, 0.2), q=2)
+    with pytest.raises(ValueError, match="differ in M, q or coefficient indices"):
+        level_matrix([ops[0], other], 0)
+    P = TaylorSeries2(other.center, 3, np.zeros((2, 1, tri_size(3))))
+    with pytest.raises(ValueError, match="differ in M, q or coefficient indices"):
+        residual_series([other, ops[0]], P, 1)
 
 
 GOLDEN = Path(__file__).with_name("golden_phases.json")

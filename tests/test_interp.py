@@ -11,12 +11,16 @@ series with one row per function, so the rows × p matrix is ``coeffs.T``.
 
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 import gpw
-from gpw.construction import build_basis
+import gpw.interp
+from gpw.bench import CASE_NAMES, case_by_name, draw_centers, exact_solution_taylor
+from gpw.construction import GpwBasis, build_basis
 from gpw.interp import (
     MatchingOrderWarning,
     assemble_gpw_matrix,
@@ -194,6 +198,39 @@ def test_gpw_matrix_warns_when_order_exceeds_guarantee():
     assert mat.coeffs.shape == (7, tri_size(3))
     assert issubclass(MatchingOrderWarning, UserWarning)
     assert "MatchingOrderWarning" not in gpw.__all__
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_batched_gpw_matrix_equals_the_per_basis_calls(name):
+    # all bases' phases go through one ts_exp call; each basis's rows come
+    # out bit for bit as its own call gives them, truncated (n=2) or padded (n=6)
+    case = case_by_name(name)
+    centers = draw_centers(case, 4, np.random.default_rng(3))
+    bases = build_basis([case.family.instantiate(c, q=3) for c in centers], 7)
+    for n in (2, 6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MatchingOrderWarning)
+            batch = assemble_gpw_matrix(bases, n)
+            alone = [assemble_gpw_matrix(basis, n) for basis in bases]
+        assert (batch.center, batch.order) == (bases[0].operator.center, n)
+        assert batch.coeffs.shape == (len(bases), 7, tri_size(n))
+        for rows, single in zip(batch.coeffs, alone):
+            assert np.array_equal(rows.view(float), single.coeffs.view(float))
+
+
+def test_batched_gpw_matrix_rejects_mixed_bases():
+    ops = [TRIG.instantiate(c, q=2) for c in ((0.2, -0.4), (-0.5, 0.7))]
+    five, seven = build_basis(ops[0], 5), build_basis(ops[1], 7)
+    with pytest.raises(ValueError, match=r"differ in size p: \[5, 7\]"):
+        assemble_gpw_matrix([five, seven], 2)
+    deeper = build_basis(TRIG.instantiate((-0.5, 0.7), q=3), 5)
+    with pytest.raises(ValueError, match=r"differ in phase degree: \[3, 4\]"):
+        assemble_gpw_matrix([five, deeper], 2)
+    with pytest.raises(ValueError, match="at least one basis"):
+        assemble_gpw_matrix([], 2)
+    empty = GpwBasis(operator=ops[0], functions=[], angles=[])
+    with pytest.raises(ValueError, match="phase degree"):
+        assemble_gpw_matrix(empty, 2)
 
 
 # --- rank --------------------------------------------------------------------
@@ -393,6 +430,53 @@ def test_match_residual_is_computed_when_read():
     entries = np.ascontiguousarray(mat.coeffs.T)
     want = [np.linalg.norm(entries @ x - F) for x in match.coefficients]
     assert residual.tolist() == want
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_stacked_match_is_np_linalg_lstsq_row_by_row(name):
+    # the stacked solve against one np.linalg.lstsq call per row of weights,
+    # at lstsq's own cutoff (None) and at a fixed one, on the study's data
+    case = case_by_name(name)
+    n = 4
+    centers = draw_centers(case, 3, np.random.default_rng(5))
+    bases = build_basis([case.family.instantiate(c, q=3) for c in centers], 2 * n + 1)
+    orders = np.array([k1 + k2 for k1, k2 in indices(n)], dtype=float)
+    weights = np.logspace(0.0, -6.0, 12)[:, None] ** orders
+    for basis in bases:
+        mat = assemble_gpw_matrix(basis, n)
+        F = exact_solution_taylor(case, basis.operator.center, n).astype(complex)
+        A = np.ascontiguousarray(mat.coeffs.T)
+        for rcond in (None, 1e-9):
+            stacked = taylor_match(mat, F, rcond=rcond, row_weights=weights)
+            for w, got in zip(weights, stacked.coefficients):
+                want = np.linalg.lstsq(A * w[:, None], F * w, rcond=rcond)[0]
+                assert np.array_equal(got.view(float), want.view(float))
+            single = taylor_match(mat, F, rcond=rcond).coefficients
+            want = np.linalg.lstsq(A, F, rcond=rcond)[0]
+            assert np.array_equal(single.view(float), want.view(float))
+
+
+def test_match_raises_linalg_error_like_lstsq():
+    # a NaN in the matrix stops the SVD: the same LinAlgError lstsq raises
+    op = TRIG.instantiate((0.2, -0.4), q=2)
+    mat = assemble_gpw_matrix(build_basis(op, 5), 2)
+    coeffs = mat.coeffs.copy()
+    coeffs[0, 1] = np.nan
+    broken = TaylorSeries2(mat.center, mat.order, coeffs)
+    F = np.ones(tri_size(2))
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.lstsq(np.ascontiguousarray(broken.coeffs.T), F.astype(complex))
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        taylor_match(broken, F, rcond=None)
+    assert str(got.value) == str(want.value)
+
+
+def test_missing_lstsq_gufunc_names_the_numpy_version(monkeypatch):
+    from numpy.linalg import _umath_linalg
+
+    monkeypatch.delattr(_umath_linalg, "lstsq")
+    with pytest.raises(ImportError, match=f"numpy {re.escape(np.__version__)} does not"):
+        gpw.interp._stacked_lstsq()
 
 
 # --- evaluation ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from gpw.taylor2d import (
     graded_indices,
     index_of,
     indices,
+    mul_matrices,
     mul_matrix,
     tri_size,
     ts_constant,
@@ -569,6 +570,17 @@ def test_mul_matrix_product_matches_ts_mul(a, b, data):
         got = B.coeffs[..., : tri_size(order)] @ C.T
         want = ts_mul(single, B, order=order).coeffs
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+
+
+def test_mul_matrices_stacks_the_single_matrices():
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(2, 3, tri_size(4))) + 1j * rng.normal(size=(2, 3, tri_size(4)))
+    for order in (0, 2, 4):
+        stacked = mul_matrices(rows, order)
+        assert stacked.shape == (2, 3, tri_size(order), tri_size(order))
+        for index in np.ndindex(2, 3):
+            single = mul_matrix(TaylorSeries2(C0, 4, rows[index]), order)
+            assert np.array_equal(stacked[index], single)
 
 
 def test_mul_matrix_rejects_batches_and_high_orders():
