@@ -55,6 +55,7 @@ from .bench import (
     validate_case,
 )
 from .construction import (
+    FIRST_ANGLE,
     GpwNormalization,
     basis_angles,
     build_basis,
@@ -143,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--case", choices=CASE_NAMES, required=True, help="required")
     construct.add_argument("--q", type=int, default=1, help="order of tangency")
     construct.add_argument(
-        "--theta", type=float, default=math.pi / 6, help="direction angle (radians)"
+        "--theta", type=float, default=FIRST_ANGLE,
+        help="direction angle (radians; default: the first of basis_angles)",
     )
     construct.add_argument(
         "--center", type=float, nargs=2, metavar=("X", "Y"),

@@ -10,11 +10,18 @@ a nonzero multiple of the leading operator coefficient.  Solving level by
 level with forward substitution is therefore explicit; everything with
 x-degree below M stays free and is fixed by the normalization up front.
 The level systems depend on the operator alone, so the waves of a basis are
-solved together, with one batched residual evaluation per level.
+solved together.  Level L needs residual layer L of the phase truncated at
+M + L, and the derivative-ratio layers behind it read only phase layers
+that earlier levels have fixed, apart from the newest ones: one
+residual_series call per level carries the ratio table from level to level
+and computes only the layers that level makes new or final, about
+(M+L)^3 operations per wave, where rerunning the whole recurrence cost
+about (M+L)^4.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,6 +45,7 @@ from gpw.taylor2d import (
 )
 
 KAPPA_FALLBACK_TOL = 1e-10  # zeroth coefficient below this: default kappa = 1
+FIRST_ANGLE = math.pi / 6  # basis_angles starts here; gpw construct's default theta
 
 
 def dof_counts(M: int, q: int) -> tuple[int, int, int]:
@@ -105,9 +113,11 @@ class GpwNormalization:
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        for i, j in self.fixed_values:
+        for (i, j), value in self.fixed_values.items():
             if i < 0 or j < 0:
                 raise ValueError(f"fixed value ({i},{j}) has a negative index")
+            if not cmath.isfinite(value):
+                raise ValueError(f"fixed value ({i},{j}) must be finite, got {value}")
 
     def has_explicit_pair(self) -> bool:
         """True when fixed_values sets the first-order pair, False when theta does."""
@@ -148,7 +158,9 @@ def construct_gpw(
     once.  Needs hypothesis 1, and hypothesis 2 only for pairs set by theta.
 
     The level matrix depends on the operator alone, so it is built once per
-    level; the waves differ only in their right-hand sides.  A sequence of
+    level; the waves differ only in their right-hand sides.  The residual's
+    ratio layers are carried from level to level (see residual_series), so
+    level L costs about (M+L)^3 per wave.  A sequence of
     operators of one family (see operator_batch) is solved in the same pass
     and gives one list of waves per operator.  One operator is a batch of
     one: every array carries the operator axis, and only the result drops it.
@@ -197,13 +209,16 @@ def construct_gpw(
     assert n_dof == tri_size(degree)
 
     solved = 0
+    table: dict = {}  # the ratio layers, carried from level to level
     for L in range(q):
         T = level_matrix(ops, L)
         # Residual cells of level L read phase coefficients of length at most
         # M+L, so the phases truncated there give them exactly; layer M+L
         # holds its fixed entries and zeros where this level's unknowns go.
+        # The table recomputes only the layers that read layer M+L-1, solved
+        # by the previous level, or the new layer M+L.
         partial = TaylorSeries2(ops[0].center, M + L, arr[..., : tri_size(M + L)])
-        res = residual_series(ops, partial, L)
+        res = residual_series(ops, partial, L, table=table)
         rhs = -res.coeffs[..., [index_of(I, L - I) for I in range(L + 1)]]
         # peel off previously substituted unknowns of the same level as we
         # walk down the triangle
@@ -253,8 +268,8 @@ class GpwBasis:
 
 
 def basis_angles(p: int) -> list[float]:
-    """p equispaced directions offset by pi/6."""
-    return [math.pi / 6 + 2 * l * math.pi / p for l in range(p)]
+    """p equispaced directions offset by FIRST_ANGLE (pi/6)."""
+    return [FIRST_ANGLE + 2 * l * math.pi / p for l in range(p)]
 
 
 def build_basis(

@@ -11,10 +11,19 @@ and applies the induced operator on phases,
 
 as truncated series arithmetic (`residual_series`).  The derivative ratios
 E_{k,l} = d_x^k d_y^l(e^P)/e^P start at E_{1,0} = d_x P, E_{0,1} = d_y P and
-satisfy E_{k+1,l} = d_x E_{k,l} + (d_x P) E_{k,l}; each term c_{k,l} E_{k,l}
-is then one matrix product of the ratio rows with the multiplication matrix
-of c_{k,l}, and c_{0,0} is added last.  The partition-sum route in the test
-oracle `tests/faa_oracle.py` computes the same object combinatorially.
+satisfy E_{k+1,l} = d_x E_{k,l} + (d_x P) E_{k,l}, and the residual is
+sum c_{k,l} E_{k,l} with c_{0,0} added last.  Both are computed one layer
+(one total degree t) at a time on raw (rows, tri) arrays: layer t of a
+product is one matrix-vector product per row with the layer-t rows of a
+multiplication matrix, about t^3/2 operations.  Layer t of a ratio of
+length r reads phase layers up to t + r only, so a caller that adds phase
+layers one at a time can carry the computed layers in a table from call
+to call (relaxed, or online, multiplication of power series: J. van der
+Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
+The construction does: its level L costs about (M+L)^3 per wave, where
+rerunning the whole recurrence cost about (M+L)^4.  The partition-sum
+route in the test oracle `tests/faa_oracle.py` computes the same object
+combinatorially.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ from gpw.taylor2d import (
     ts_coordinate,
     ts_cos,
     ts_derive,
-    ts_mul,
     ts_sin,
 )
 
@@ -210,7 +218,7 @@ def operator_batch(op: PdeOperator | Sequence[PdeOperator]) -> OperatorBatch:
 
 
 def residual_series(
-    op: PdeOperator | Sequence[PdeOperator], P: TaylorSeries2, Q: int
+    op: PdeOperator | Sequence[PdeOperator], P: TaylorSeries2, Q: int, table: dict | None = None
 ) -> TaylorSeries2:
     """Series of L(e^P)/e^P about the center, truncated at Q; identically
     zero iff e^P solves L u = 0.
@@ -224,13 +232,28 @@ def residual_series(
     either way the ratios run on the phases as one flat batch, each
     coefficient term takes them as (operators, waves, tri) rows with one
     matrix per operator, and the result keeps the batch shape of P.
+
+    Everything is computed one layer (one total degree) at a time.  Layer
+    t of a ratio of length r reads phase layers up to t + r, its products
+    with d_x P and d_y P up to t + r - 1, and the residual's products with
+    the coefficients up to t + M - 1.  A dict passed as table keeps those
+    product layers for the next call with the same operators and number of
+    phase rows: that call recomputes only the products that read a phase
+    layer which is new or has changed since, and redoes the sums around
+    them, a few elementwise passes.  A caller that adds one phase layer per
+    call so computes one product layer per ratio and one of the residual
+    per call.  The table never takes the top layer of a call's phases as
+    final, since the next call may fill it in.  Every layer is computed the
+    same way either way: the result does not depend on the table, bit for
+    bit.
     """
     ops = operator_batch(op)
     first = ops[0]
+    M = first.M
     if P.center != first.center:
         raise ValueError(f"phase centered at {P.center}, operator at {first.center}")
-    if P.order < Q + first.M:
-        raise ValueError(f"phase order {P.order} < Q + M = {Q + first.M}")
+    if P.order < Q + M:
+        raise ValueError(f"phase order {P.order} < Q + M = {Q + M}")
     if not isinstance(op, PdeOperator) and (P.coeffs.ndim < 3 or len(P.coeffs) != len(ops)):
         raise ValueError(
             f"phases of shape {P.coeffs.shape} for {len(ops)} operators: "
@@ -241,38 +264,96 @@ def residual_series(
             if series.order < Q:
                 name = "zeroth coefficient" if k + l == 0 else f"coefficient ({k},{l})"
                 raise ValueError(f"{name} order {series.order} < {Q}")
-    # one batch axis, not two: ts_mul pays for every axis it indexes
-    phases = TaylorSeries2(first.center, P.order, P.coeffs.reshape(-1, P.coeffs.shape[-1]))
-    dx_phase = ts_derive(phases, (1, 0))
-    dy_phase = ts_derive(phases, (0, 1))
-    ratios: dict[Index, TaylorSeries2] = {(1, 0): dx_phase, (0, 1): dy_phase}
-    for s in range(2, first.M + 1):
-        for k in range(s, -1, -1):
-            l = s - k
-            if k:
-                prev = ratios[(k - 1, l)]
-                step = ts_derive(prev, (1, 0)) + ts_mul(dx_phase, prev, order=prev.order - 1)
-            else:
-                prev = ratios[(0, l - 1)]
-                step = ts_derive(prev, (0, 1)) + ts_mul(dy_phase, prev, order=prev.order - 1)
-            ratios[(k, l)] = step
-    n, total = tri_size(Q), None
-    # each term's coefficient rows through order Q, one row per operator
-    coefficients = {
-        kl: np.array([other.coeffs[kl].coeffs[:n] for other in ops]) for kl in first.coeffs
-    }
-    for (k, l), stacked in coefficients.items():
-        if k + l < 1:
-            continue
-        mats = mul_matrices(stacked, Q)  # (operators, n, n)
-        rows = ratios[(k, l)].coeffs[:, :n].reshape(len(ops), -1, n)  # (operators, waves, n)
-        term = rows @ mats.swapaxes(-1, -2)
-        total = term if total is None else total + term
-    if total is None:
+    terms = [kl for kl in first.coeffs if sum(kl) >= 1]
+    if not terms:
         raise ValueError("operator has no derivative terms")
-    if (0, 0) in coefficients:  # after the derivative terms: the order fixes the last bits
-        total = total + coefficients[(0, 0)][:, None]
-    return TaylorSeries2(first.center, Q, total.reshape(P.coeffs.shape[:-1] + (n,)))
+    top = Q + M  # the ratios of length r are needed through layer top - r
+    # one batch axis for the ratios: rows are (operator, wave) pairs
+    phases = P.coeffs.reshape(-1, P.coeffs.shape[-1])[:, : tri_size(top)]
+    if table is None:
+        table = {}
+    kept = _unchanged_layers(table, ops, phases)
+    truncated = TaylorSeries2(first.center, top, phases)
+    # ratios[r][l] holds the rows of E_{r-l,l}
+    ratios = [None, np.stack([ts_derive(truncated, d).coeffs for d in ((1, 0), (0, 1))])]
+    for r in range(2, M + 1):
+        lower = ratios[-1]
+        # layer t of the products reads phase layers <= t + r - 1
+        products = _carried(table, r, (r + 1, len(phases)), top - r, kept - r + 1)
+        for t in range(max(kept - r + 1, 0), top - r + 1):
+            products[..., tri_size(t - 1) : tri_size(t)] = _ratio_products(ratios[1], lower, t)
+        # the derivative parts read one phase layer more: whole arrays, each call
+        steps = TaylorSeries2(first.center, top - r + 1, lower)
+        ratios.append(
+            np.concatenate([ts_derive(steps, (1, 0)).coeffs, ts_derive(steps, (0, 1)).coeffs[-1:]])
+            + products
+        )
+    n = tri_size(Q)
+    coefficients = np.array([[other.coeffs[kl].coeffs[:n] for kl in terms] for other in ops])
+    # residual layer t = its products with ratio layers < t (they read phase
+    # layers <= t + M - 1) + the coefficients at the center times ratio layer t
+    res = _carried(table, "residual", (len(phases),), Q, kept - M + 1)
+    res[:, 0] = 0.0  # layer 0 meets no lower ratio layer
+    for t in range(max(kept - M + 1, 1), Q + 1):
+        below = tri_size(t - 1)
+        # (operators, 1, terms * below, t+1): each term's rows of layer t
+        mats = mul_matrices(coefficients, t, t)[..., :below].swapaxes(-1, -2)
+        mats = mats.reshape(len(ops), 1, -1, t + 1)
+        rows = np.concatenate([ratios[k + l][l][:, :below] for k, l in terms], axis=-1)
+        # one vector-matrix product per wave, so a wave's bits do not depend on
+        # how many waves share the call: (operators, waves, 1, t+1)
+        layer = rows.reshape(len(ops), -1, 1, rows.shape[-1]) @ mats
+        res[:, below : tri_size(t)] = layer.reshape(len(phases), t + 1)
+    # the top phase layer may still change (a construction level fills it)
+    table.update(ops=ops, phases=phases[:, : tri_size(top - 1)])
+    res = res.reshape(len(ops), -1, n)
+    for (k, l), at_center in zip(terms, coefficients[..., 0].T):
+        res = res + at_center[:, None, None] * ratios[k + l][l][:, :n].reshape(res.shape)
+    if (0, 0) in first.coeffs:  # after the derivative terms: the order fixes the last bits
+        res = res + np.array([other.coeffs[(0, 0)].coeffs[:n] for other in ops])[:, None]
+    return TaylorSeries2(first.center, Q, res.reshape(P.coeffs.shape[:-1] + (n,)))
+
+
+def _unchanged_layers(table: dict, ops: OperatorBatch, phases: np.ndarray) -> int:
+    """How many leading phase layers equal those the table was filled from,
+    counting only the layers below that call's top one: the table's layers
+    that read no others are still valid.  0 for an empty table."""
+    if not table:
+        return 0
+    if len(table["ops"]) != len(ops) or any(a is not b for a, b in zip(table["ops"], ops)):
+        raise ValueError("the table was filled for other operators")
+    old = table["phases"]
+    if len(old) != len(phases):
+        raise ValueError(f"the table holds {len(old)} phase rows, the phases have {len(phases)}")
+    n = min(old.shape[-1], phases.shape[-1])
+    changed = np.flatnonzero(np.any(old[:, :n] != phases[:, :n], axis=0))
+    cell = changed[0] if changed.size else n
+    return (math.isqrt(8 * cell + 1) - 1) // 2  # the layer that holds that cell
+
+
+def _carried(table: dict, key, shape: tuple, order: int, valid: int) -> np.ndarray:
+    """A new array of shape (*shape, tri_size(order)) under table[key], with
+    its first `valid` layers (at most all of them) copied from the one it
+    replaces."""
+    new = np.empty(shape + (tri_size(order),), dtype=complex)
+    if valid > 0:
+        cells = min(tri_size(valid - 1), new.shape[-1])
+        new[..., :cells] = table[key][..., :cells]
+    table[key] = new
+    return new
+
+
+def _ratio_products(gradient: np.ndarray, lower: np.ndarray, t: int) -> np.ndarray:
+    """Layer t of the products in the step from the ratios of length r - 1
+    (lower, indexed by l) to those of length r: (d_x P) E_{k-1,l} for
+    E_{k,l}, k >= 1, and (d_y P) E_{0,r-1} for E_{0,r}.  gradient holds
+    d_x P and d_y P; only their layers and those of lower up to t are read."""
+    size = tri_size(t)
+    # one product per row for all r x-steps, then one for the y-step; the
+    # two gathers of (rows, t+1, size) are made one at a time for memory
+    x_steps = mul_matrices(gradient[0], t, t) @ lower[..., :size].transpose(1, 2, 0)
+    y_step = mul_matrices(gradient[1], t, t) @ lower[-1, :, :size, None]
+    return np.concatenate([x_steps.transpose(2, 0, 1), y_step.transpose(2, 0, 1)])
 
 
 # ---------------------------------------------------------------------------

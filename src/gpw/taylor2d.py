@@ -16,9 +16,9 @@ take a number on either side and move only the constant coefficient c[0, 0];
 A series may also carry a batch of such triangles: coefficients of shape
 (..., tri_size(order)), one row per series.  Products, derivatives,
 truncation, sums and differences act on the last axis and broadcast an
-unbatched series against a batched one, so a whole basis of phases goes
-through the residual recurrence in one pass, and ts_exp exponentiates a
-whole batch at once.  Evaluation takes a batch too: calling a series is a
+unbatched series against a batched one, so a whole basis of phases is
+differentiated in one call, and ts_exp exponentiates a whole batch at
+once.  Evaluation takes a batch too: calling a series is a
 batched monomial product, one real matrix product per block of points for
 all rows.  Indexing takes a single series.
 """
@@ -294,14 +294,18 @@ def mul_matrix(a: TaylorSeries2, order: int) -> np.ndarray:
     return mul_matrices(a.coeffs, order)
 
 
-def mul_matrices(rows: np.ndarray, order: int) -> np.ndarray:
+def mul_matrices(rows: np.ndarray, order: int, first_layer: int = 0) -> np.ndarray:
     """mul_matrix of every row of raw triangular coefficients (..., m) with
     m >= tri_size(order), gathered in one step: shape (..., n, n) with
-    n = tri_size(order)."""
+    n = tri_size(order).  Only the output rows of the layers first_layer
+    through order are gathered; first_layer = order gives the rows of the
+    top layer, shape (..., order + 1, n)."""
     n = tri_size(order)
     padded = np.zeros(rows.shape[:-1] + (n + 1,), dtype=complex)
     padded[..., :n] = rows[..., :n]
-    return padded[..., _mul_matrix_plan(order)]
+    # take, not fancy indexing: its result is C-ordered, so every matrix of
+    # the stack reaches BLAS alike, whatever the batch size
+    return np.take(padded, _mul_matrix_plan(order)[tri_size(first_layer - 1) :], axis=-1)
 
 
 def ts_derive(a: TaylorSeries2, d: Index) -> TaylorSeries2:

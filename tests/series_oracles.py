@@ -103,3 +103,15 @@ def phase_operator_by_products(op, P, Q: int):
             term = ts_mul(series, ratios[(k, l)], order=Q)
             total = term if total is None else total + term
     return total
+
+
+def residual_by_products(op, P, Q: int, table=None):
+    """The residual series as the construction computed it before the
+    ratio layers were carried: phase_operator_by_products, the whole ratio
+    recurrence rerun from layer 0 at every call, plus c_{0,0}.  op may be a
+    batch of one operator; table is taken and ignored, so this stands in
+    for residual_series inside construct_gpw."""
+    (op,) = op if isinstance(op, tuple) else (op,)
+    total = phase_operator_by_products(op, P, Q)
+    zeroth = op.coeffs.get((0, 0))
+    return total if zeroth is None else total + zeroth.with_order(Q)

@@ -11,12 +11,15 @@ unsolved layers are cleared.  The production path never sees any of them.
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import gpw.construction
 import gpw.operators
 from gpw.construction import (
+    FIRST_ANGLE,
     GpwNormalization,
     basis_angles,
     build_basis,
@@ -41,7 +44,7 @@ from gpw.operators import (
 )
 from gpw.taylor2d import TaylorSeries2, graded_indices, index_of, tri_size
 from faa_oracle import phase_operator_series_oracle
-from series_oracles import phase_operator_by_products
+from series_oracles import phase_operator_by_products, residual_by_products
 
 
 # --- oracles ---------------------------------------------------------------
@@ -131,6 +134,21 @@ MIXED = OperatorFamily(
         (0, 0): "0.2*sin(x)*cos(y) - 1",
     },
 )
+
+# order 4 with mixed and first-order terms: every benchmark case has M = 2,
+# and which ratio layers are final at a level depends on M
+QUARTIC = OperatorFamily(
+    M=4,
+    terms={
+        (4, 0): "1 + 0.2*sin(y)",
+        (2, 2): "0.3*cos(x)*sin(y)",
+        (0, 4): "2 + 0.1*cos(x)",
+        (1, 3): "0.1*x",
+        (1, 0): "y",
+        (0, 0): "-(3 + 0.2*sin(y) + 0.1*cos(x))",
+    },
+)
+QUARTIC_PAIR = {(1, 0): 0.6 + 0.2j, (0, 1): -0.4 + 0.7j, (2, 1): 0.3, (0, 3): -0.2j, (3, 0): 0.1}
 
 PRODUCT = OperatorFamily(
     M=2,
@@ -565,6 +583,19 @@ def test_normalization_errors():
         )[0]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 1)])
+def test_normalization_rejects_non_finite_fixed_values(value):
+    with pytest.raises(ValueError, match=r"fixed value \(0,3\) must be finite"):
+        GpwNormalization(fixed_values={(1, 0): 1, (0, 1): 1j, (0, 3): value})
+
+
+def test_basis_angles_and_the_construct_default_share_the_first_angle():
+    from gpw.cli import build_parser
+
+    assert basis_angles(5)[0] == FIRST_ANGLE == math.pi / 6
+    assert build_parser().parse_args(["construct", "--case", "cs"]).theta == FIRST_ANGLE
+
+
 def test_normalization_rejects_negative_indices():
     # (-1, 1) has the flat offset of (1, 0): it used to overwrite the pair
     op = helmholtz().instantiate((0.0, 0.0), q=2)
@@ -666,9 +697,10 @@ def test_construct_gpw_needs_a_normalization():
 
 @pytest.mark.parametrize("q", [8, 12, 16, 20])
 def test_defining_property_at_high_q(q):
-    # checked twice: with residual_series, which the construction itself
-    # calls, and with the all-ts_mul recurrence, so that a fault the two
-    # share cannot hide
+    # checked twice: with residual_series run fresh, which gives the bits
+    # the construction's carried ratio table gives at every level (see
+    # test_carried_ratio_table_changes_no_bits), and with the all-ts_mul
+    # recurrence, so that a fault the two share cannot hide
     rng = np.random.default_rng(q)
     for name in ("Ad", "Jc", "JJ", "cs"):
         case = case_by_name(name)
@@ -684,6 +716,72 @@ def test_defining_property_at_high_q(q):
             for res in (residual_series(op, P, q - 1), oracle):
                 rel = np.max(np.abs(res.coeffs), axis=-1) / scale
                 assert np.max(rel) < 1e-11, (name, center)
+
+
+def _construct_by_full_residuals(op, norms):
+    """construct_gpw with every level's residual recomputed from layer 0 by
+    the all-ts_mul recurrence, nothing carried between levels."""
+    with mock.patch.object(gpw.construction, "residual_series", residual_by_products):
+        return construct_gpw(op, norms)
+
+
+def _phases(waves):
+    return np.stack([fn.phase.coeffs for fn in waves])
+
+
+@pytest.mark.parametrize("q", [1, 4, 8, 12])
+@pytest.mark.parametrize("name", ["Ad", "Jc", "JJ", "cs"])
+def test_carried_ratio_table_matches_full_residuals_per_level(name, q):
+    case = case_by_name(name)
+    for center in draw_centers(case, 2, np.random.default_rng(q)):
+        op = case.family.instantiate(center, q=q)
+        norms = [GpwNormalization(theta=theta) for theta in basis_angles(2 * q + 3)]
+        got = _phases(construct_gpw(op, norms))
+        want = _phases(_construct_by_full_residuals(op, norms))
+        scale = np.max(np.abs(want), axis=-1)
+        assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-13 * scale), (name, center)
+
+
+@pytest.mark.parametrize("q", [1, 4, 8])
+def test_carried_ratio_table_matches_full_residuals_at_order_four(q):
+    op = QUARTIC.instantiate((0.4, -0.3), q=q)
+    norms = [GpwNormalization(fixed_values=QUARTIC_PAIR)]
+    norms += [
+        GpwNormalization(fixed_values={(1, 0): 1j * math.cos(theta), (0, 1): 1j * math.sin(theta)})
+        for theta in basis_angles(5)
+    ]
+    waves = construct_gpw(op, norms)
+    got, want = _phases(waves), _phases(_construct_by_full_residuals(op, norms))
+    scale = np.max(np.abs(want), axis=-1)
+    assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-13 * scale)
+    for fn in waves:
+        assert residual_series(op, fn.phase, q - 1).max_abs() < 1e-11 * max(1.0, scale.max())
+
+
+def test_carried_ratio_table_changes_no_bits():
+    # at every level the residual from the carried table is the residual of
+    # a fresh call on the same partial phase: a stale or skipped layer shows
+    levels = []
+
+    def fresh_alongside(ops, P, Q, table=None):
+        carried = residual_series(ops, P, Q, table=table)
+        fresh = residual_series(ops, P, Q)
+        assert np.array_equal(carried.coeffs.view(float), fresh.coeffs.view(float)), Q
+        levels.append(Q)
+        return carried
+
+    q = 8
+    quartic = QUARTIC.instantiate((0.4, -0.3), q=q)
+    runs = [(quartic, [GpwNormalization(fixed_values=QUARTIC_PAIR)])]
+    for name in ("Ad", "Jc", "JJ", "cs"):
+        case = case_by_name(name)
+        ops = [case.family.instantiate(c, q=q) for c in draw_centers(case, 2, np.random.default_rng(3))]
+        norms = [GpwNormalization(theta=theta) for theta in basis_angles(2 * q + 3)]
+        runs += [(ops[0], norms), (ops, norms)]
+    with mock.patch.object(gpw.construction, "residual_series", fresh_alongside):
+        for op, norms in runs:
+            construct_gpw(op, norms)
+    assert levels == list(range(q)) * len(runs)
 
 
 def _bits(bases):

@@ -390,6 +390,43 @@ def test_residual_of_one_operator_keeps_the_phase_shape(waves):
         np.testing.assert_allclose(row, alone.coeffs, rtol=1e-15, atol=1e-15 * alone.max_abs())
 
 
+def _same_bits(a, b):
+    return a.coeffs.shape == b.coeffs.shape and np.array_equal(a.coeffs.view(float), b.coeffs.view(float))
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_residual_table_follows_any_change_of_the_phases(M):
+    # a table carried across calls gives the bits of a fresh call whatever
+    # changed in between: the top layer, a middle one, nothing, Q itself
+    rng = np.random.default_rng(60 + M)
+    center = (0.2, 0.1)
+    op = random_operator(rng, M, center, 6)
+    op = PdeOperator(M=M, center=center, coeffs={**op.coeffs, (0, 0): random_series(rng, center, 6)}, q=1)
+    shape = (3, tri_size(6 + M))
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    table = {}
+    for Q, layer in [(2, None), (3, M + 2), (3, None), (4, 2), (6, 0), (1, M + 1), (5, M + 5)]:
+        if layer is not None:
+            cells = slice(tri_size(layer - 1), tri_size(layer))
+            arr[:, cells] = rng.standard_normal((3, layer + 1))
+            arr[:, 0] = 0.0
+        P = TaylorSeries2(center, Q + M, arr[:, : tri_size(Q + M)])
+        assert _same_bits(residual_series(op, P, Q, table=table), residual_series(op, P, Q)), (Q, layer)
+
+
+def test_residual_table_belongs_to_its_operators_and_rows():
+    op = helmholtz((0.2, 0.4), q=3, coeff_order=2)
+    other = helmholtz((0.2, 0.4), q=3, coeff_order=2)
+    rng = np.random.default_rng(14)
+    P = TaylorSeries2(op.center, 4, rng.standard_normal((2, tri_size(4))))
+    table = {}
+    residual_series(op, P, 2, table=table)
+    with pytest.raises(ValueError, match="the table was filled for other operators"):
+        residual_series(other, P, 2, table=table)
+    with pytest.raises(ValueError, match="the table holds 2 phase rows, the phases have 3"):
+        residual_series(op, TaylorSeries2(op.center, 4, np.zeros((3, tri_size(4)))), 2, table=table)
+
+
 def test_residual_rejects_operators_it_cannot_apply():
     center = (0.0, 0.0)
     P = ts_zero(center, 4)
