@@ -18,9 +18,11 @@ A series may also carry a batch of such triangles: coefficients of shape
 truncation, sums and differences act on the last axis and broadcast an
 unbatched series against a batched one, so a whole basis of phases is
 differentiated in one call, and ts_exp exponentiates a whole batch at
-once.  Evaluation takes a batch too: calling a series is a
-batched monomial product, one real matrix product per block of points for
-all rows.  Indexing takes a single series.
+once.  Series are multiplied by one kernel: mul_matrices gathers the matrix
+of multiplication by a series, ts_mul is one product with it, and
+residual_series multiplies with its layer rows.  Evaluation takes a batch
+too: calling a series is a batched monomial product, one real matrix
+product per block of points for all rows.  Indexing takes a single series.
 """
 
 from __future__ import annotations
@@ -68,25 +70,6 @@ def _triangle_ij(order: int) -> tuple[np.ndarray, np.ndarray]:
     ii = np.array([i for i, _ in indices(order)])
     jj = np.array([j for _, j in indices(order)])
     return ii, jj
-
-
-@lru_cache(maxsize=None)
-def _toeplitz_plan(order: int) -> list[np.ndarray]:
-    """Gather indices into a flat triangle with one zero appended.
-
-    Entry u is the (m, m) matrix, m = order + 1 - u, whose [v, j] element
-    picks (u, j - v) for j >= v and the appended zero below the diagonal:
-    the Toeplitz matrix that convolves a row with row u of the series.
-    """
-    n = order + 1
-    square = np.zeros((n, n), dtype=int)
-    ii, jj = _triangle_ij(order)
-    square[ii, jj] = np.arange(tri_size(order))
-    plan = []
-    for u in range(n):
-        shift = np.arange(n - u) - np.arange(n - u)[:, None]  # [v, j] = j - v
-        plan.append(np.where(shift >= 0, square[u, np.maximum(shift, 0)], tri_size(order)))
-    return plan
 
 
 @lru_cache(maxsize=None)
@@ -258,48 +241,33 @@ def ts_mul(a: TaylorSeries2, b: TaylorSeries2, order: int | None = None) -> Tayl
 
     The (i, j) output coefficient is the convolution
     sum_{u<=i, v<=j} a[i-u, j-v] b[u, v]; it only ever touches input
-    coefficients of length <= i + j.  Batch axes broadcast.
+    coefficients of length <= i + j.  It is one product with the matrix of
+    multiplication by a that mul_matrices gathers, the kernel residual_series
+    uses too.  Batch axes broadcast.  When only a is a batch the operands
+    swap, so the matrix is gathered from the single series; a product of two
+    batches gathers one matrix per row, batch * tri_size(order)**2 complex
+    entries.
     """
     _check_centers(a, b)
     q = min(a.order, b.order) if order is None else order
+    if q < 0:
+        raise ValueError(f"truncation order must be non-negative, got {q}")
     if q > min(a.order, b.order):
         raise ValueError(f"truncation order {q} exceeds input orders")
-    toeplitz = _toeplitz_plan(q)
-    n, size = q + 1, tri_size(q)
-    ii, jj = _triangle_ij(q)
-    asq = np.zeros(a.coeffs.shape[:-1] + (n, n), dtype=complex)
-    asq[..., ii, jj] = a.coeffs[..., :size]
-    fb = np.concatenate([b.coeffs[..., :size], np.zeros(b.coeffs.shape[:-1] + (1,))], axis=-1)
-    # Row u of b shifts every row of a down by u; along j the shift is a
-    # convolution, done as a product with a Toeplitz matrix of that row.
-    # Cells past the triangle pick up garbage and are dropped below.
-    out = asq @ fb[..., toeplitz[0]]
-    for u in range(1, n):
-        m = n - u
-        block = asq[..., :m, :m] @ fb[..., toeplitz[u]]
-        # adding into the strided view of `out` in place would make numpy
-        # buffer both operands; this order needs half the temporaries
-        block += out[..., u:, :m]
-        out[..., u:, :m] = block
-    return TaylorSeries2(a.center, q, out[..., ii, jj])
-
-
-def mul_matrix(a: TaylorSeries2, order: int) -> np.ndarray:
-    """Matrix C of multiplication by the single series a, truncated at order:
-    C[out, in] = a[out - in], so coeffs[..., :tri_size(order)] @ C.T is the
-    product of a (batch of) series with a."""
-    _require_single(a)
-    if order > a.order:
-        raise ValueError(f"truncation order {order} exceeds input order {a.order}")
-    return mul_matrices(a.coeffs, order)
+    if a.coeffs.ndim > 1 and b.coeffs.ndim == 1:
+        a, b = b, a
+    product = mul_matrices(a.coeffs, q) @ b.coeffs[..., : tri_size(q), None]
+    return TaylorSeries2(a.center, q, product[..., 0])
 
 
 def mul_matrices(rows: np.ndarray, order: int, first_layer: int = 0) -> np.ndarray:
-    """mul_matrix of every row of raw triangular coefficients (..., m) with
-    m >= tri_size(order), gathered in one step: shape (..., n, n) with
-    n = tri_size(order).  Only the output rows of the layers first_layer
-    through order are gathered; first_layer = order gives the rows of the
-    top layer, shape (..., order + 1, n)."""
+    """Matrix C of multiplication by each row of raw triangular coefficients
+    (..., m) with m >= tri_size(order), truncated at order and gathered in
+    one step: C[out, in] = row[out - in], so C @ b is the product of the row
+    with the series b.  Shape (..., n, n) with n = tri_size(order).  Only the
+    output rows of the layers first_layer through order are gathered;
+    first_layer = order gives the rows of the top layer, shape
+    (..., order + 1, n)."""
     n = tri_size(order)
     padded = np.zeros(rows.shape[:-1] + (n + 1,), dtype=complex)
     padded[..., :n] = rows[..., :n]
@@ -331,6 +299,8 @@ def ts_exp(a: TaylorSeries2, order: int | None = None) -> TaylorSeries2:
     exponentiated row by row in one pass, the batch axes leading.
     """
     q = a.order if order is None else order
+    if q < 0:
+        raise ValueError(f"truncation order must be non-negative, got {q}")
     if q > a.order:
         raise ValueError(f"truncation order {q} exceeds input order {a.order}")
     const = a.coeffs[..., 0]

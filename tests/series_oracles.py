@@ -8,6 +8,7 @@ from faa_oracle import mi_sort_key
 from gpw.taylor2d import (
     TaylorSeries2,
     indices,
+    mul_matrices,
     tri_size,
     ts_constant,
     ts_derive,
@@ -43,6 +44,17 @@ def term_magnitude(series, x, y):
     for (i, j), c in zip(indices(series.order), series.coeffs):
         out = out + abs(c) * dx**i * dy**j
     return out
+
+
+def mul_matrix(a, order: int):
+    """Matrix C of multiplication by the single series a, truncated at order:
+    C[out, in] = a[out - in], so coeffs[..., :tri_size(order)] @ C.T is the
+    product of a (batch of) series with a."""
+    if a.coeffs.ndim != 1:
+        raise ValueError(f"needs a single series, got a batch of shape {a.coeffs.shape[:-1]}")
+    if order > a.order:
+        raise ValueError(f"truncation order {order} exceeds input order {a.order}")
+    return mul_matrices(a.coeffs, order)
 
 
 def mi_compare(a, b) -> int:
@@ -83,7 +95,8 @@ def ts_affine(c0, cx, cy, center, order: int):
 def phase_operator_by_products(op, P, Q: int):
     """L(e^P)/e^P - c_{0,0} through the derivative-ratio recurrence started
     at E_{0,0} = 1, with every product, the coefficient terms included, a
-    ts_mul."""
+    ts_mul.  ts_mul multiplies through mul_matrices, as residual_series
+    does, so this checks the recurrence, not the kernel."""
     dx_phase = ts_derive(P, (1, 0))
     dy_phase = ts_derive(P, (0, 1))
     ratios = {(0, 0): ts_constant(1.0, op.center, P.order)}

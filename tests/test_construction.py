@@ -700,7 +700,9 @@ def test_defining_property_at_high_q(q):
     # checked twice: with residual_series run fresh, which gives the bits
     # the construction's carried ratio table gives at every level (see
     # test_carried_ratio_table_changes_no_bits), and with the all-ts_mul
-    # recurrence, so that a fault the two share cannot hide
+    # recurrence, which orders the products differently.  Both multiply
+    # through mul_matrices; test_mul_matches_dict_oracle_on_batches checks
+    # that shared kernel against the exact dict product
     rng = np.random.default_rng(q)
     for name in ("Ad", "Jc", "JJ", "cs"):
         case = case_by_name(name)

@@ -1,5 +1,8 @@
 """The package's top-level surface: what ``import gpw`` promises."""
 
+import re
+from pathlib import Path
+
 import gpw
 import gpw.bench
 
@@ -35,3 +38,13 @@ def test_exports_are_the_submodule_objects():
     # the benchmark tracer wraps gpw.bench.build_basis at every name binding,
     # the package namespace included, so both must be the same object
     assert gpw.build_basis is gpw.bench.build_basis
+
+
+def test_readme_python_examples_run_in_order():
+    # each example builds on the names the ones before it defined
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), flags=re.M | re.S)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for number, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python example {number}", "exec"), namespace)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpw.taylor2d
 from gpw.taylor2d import (
     EVAL_BLOCK,
     TaylorSeries2,
@@ -13,7 +14,6 @@ from gpw.taylor2d import (
     index_of,
     indices,
     mul_matrices,
-    mul_matrix,
     tri_size,
     ts_constant,
     ts_coordinate,
@@ -25,7 +25,7 @@ from gpw.taylor2d import (
     ts_sin,
 )
 from faa_oracle import mi_sort_key
-from series_oracles import mi_compare, term_magnitude, term_sum, ts_affine, ts_power, ts_zero
+from series_oracles import mi_compare, mul_matrix, term_magnitude, term_sum, ts_affine, ts_power, ts_zero
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -131,6 +131,12 @@ def test_negative_order_rejected_where_it_enters():
         TaylorSeries2((0.0, 0.0), -2, [])
     with pytest.raises(ValueError, match="series order must be non-negative, got -1"):
         ts_zero((0.0, 0.0), 3).with_order(-1)
+    # numpy used to fail on these with an IndexError that named no order
+    a = ts_from_dict((0.0, 0.0), 2, {(1, 0): 1.0})
+    with pytest.raises(ValueError, match="truncation order must be non-negative, got -1"):
+        ts_mul(a, a, order=-1)
+    with pytest.raises(ValueError, match="truncation order must be non-negative, got -1"):
+        ts_exp(a, order=-1)
 
 
 def test_from_dict_rejects_negative_indices():
@@ -558,18 +564,58 @@ def test_number_on_either_side_equals_constant_promotion(a, batched, value):
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-15, atol=0)
 
 
-@given(batched_series(), batched_series(), st.data())
+@given(batched_series(), batched_series())
 @settings(max_examples=80, deadline=None)
-def test_mul_matrix_product_matches_ts_mul(a, b, data):
+def test_mul_matches_dict_oracle_on_batches(a, b):
+    # ts_mul and residual_series share the mul_matrices kernel; this check
+    # against the exact dict product is what keeps that kernel honest
     (qa, arr_a), (qb, arr_b) = a, b
-    order = data.draw(st.integers(0, min(qa, qb)))
-    single = TaylorSeries2(C0, qa, arr_a[0])
-    C = mul_matrix(single, order)
-    assert C.shape == (tri_size(order),) * 2
-    for B in (TaylorSeries2(C0, qb, arr_b), TaylorSeries2(C0, qb, arr_b[0])):
-        got = B.coeffs[..., : tri_size(order)] @ C.T
-        want = ts_mul(single, B, order=order).coeffs
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+    p = min(len(arr_a), len(arr_b))
+    arr_a, arr_b = arr_a[:p], arr_b[:p]
+
+    def exact(i, k):
+        # product of row i of a with row k of b, and the product of their
+        # moduli, which bounds the rounding error of every output cell
+        da = series_to_dict(TaylorSeries2(C0, qa, arr_a[i]))
+        db = series_to_dict(TaylorSeries2(C0, qb, arr_b[k]))
+        moduli = poly_mul_full({ij: abs(c) for ij, c in da.items()}, {ij: abs(c) for ij, c in db.items()})
+        return poly_mul_full(da, db), moduli
+
+    cases = [
+        (arr_a[0], arr_b[0], [(0, 0)]),
+        (arr_a[0], arr_b, [(0, r) for r in range(p)]),
+        (arr_a, arr_b[0], [(r, 0) for r in range(p)]),
+        (arr_a, arr_b, [(r, r) for r in range(p)]),
+    ]
+    want = {pair: exact(*pair) for _, _, pairs in cases for pair in pairs}
+    for x, y, pairs in cases:
+        for order in range(min(qa, qb) + 1):
+            got = ts_mul(TaylorSeries2(C0, qa, x), TaylorSeries2(C0, qb, y), order=order)
+            assert got.order == order
+            assert got.coeffs.shape == (x.shape[:-1] or y.shape[:-1]) + (tri_size(order),)
+            for row, pair in zip(got.coeffs.reshape(len(pairs), -1), pairs):
+                product, moduli = want[pair]
+                for ij in indices(order):
+                    err = abs(row[index_of(*ij)] - product[ij])
+                    assert err <= 1e-13 * moduli[ij], (order, pair, ij)
+
+
+def test_mul_of_batch_and_single_gathers_from_the_single_series(monkeypatch):
+    # the matrix of a batch holds batch * tri_size(order)**2 entries, so a
+    # single operand is the one gathered, on whichever side it stands
+    seen = []
+    real = gpw.taylor2d.mul_matrices
+
+    def recording(rows, order, first_layer=0):
+        seen.append(rows.shape)
+        return real(rows, order, first_layer)
+
+    monkeypatch.setattr(gpw.taylor2d, "mul_matrices", recording)
+    batch = TaylorSeries2(C0, 3, np.ones((4, tri_size(3))))
+    single = ts_from_dict(C0, 3, {(1, 0): 2.0})
+    for left, right in [(batch, single), (single, batch)]:
+        assert ts_mul(left, right).coeffs.shape == (4, tri_size(3))
+    assert seen == [(tri_size(3),)] * 2
 
 
 def test_mul_matrices_stacks_the_single_matrices():
