@@ -374,8 +374,8 @@ class ConvergenceReport:
             raise ValueError("h and errors must have matching shapes")
         if h.size and not np.all(np.diff(h) < 0):
             raise ValueError("h values must be strictly decreasing")
-        if np.any(errors < 0):
-            raise ValueError("errors must be non-negative")
+        if not np.all(np.isfinite(errors) & (errors >= 0)):
+            raise ValueError("errors must be finite and non-negative")
         h.setflags(write=False)
         errors.setflags(write=False)
         object.__setattr__(self, "h", h)
@@ -499,10 +499,7 @@ def run_convergence(
         F, values = _local_expansion(case, center, n)
         xs, ys = disk_points(center, h)
         exact = values(xs, ys).reshape(h.size, point_count)
-        phases = TaylorSeries2(
-            center, basis.functions[0].degree, [fn.phase.coeffs for fn in basis.functions]
-        )
-        members = phases(xs, ys).T  # one column per basis member
+        members = basis.phases(xs, ys).T  # one column per basis member
         np.exp(members, out=members)
         # rcond=None: the weighted rows span many orders of magnitude by
         # design, so only the machine-precision rank cutoff is safe here.
@@ -573,16 +570,17 @@ def read_report_csv(text: str) -> list[ConvergenceReport]:
             )
 
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise ValueError(f"malformed CSV row: {line!r}")
-        case, n, q, p, seed, hv, ev, slope, floor = parts
-        key = (case, int(n), int(q), int(p), int(seed), float(slope), float(floor))
+        try:  # a row of other than 9 fields fails to unpack
+            case, n, q, p, seed, hv, ev, slope, floor = line.split(",")
+            key = (case, int(n), int(q), int(p), int(seed), float(slope), float(floor))
+            hv, ev = float(hv), float(ev)
+        except ValueError as exc:
+            raise ValueError(f"malformed CSV row {line!r}: {exc}") from None
         if key != group_key:
             flush()
             group_key = key
             hs, errs = [], []
-        hs.append(float(hv))
-        errs.append(float(ev))
+        hs.append(hv)
+        errs.append(ev)
     flush()
     return reports

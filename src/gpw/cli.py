@@ -230,7 +230,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:
         center = (args.center[0], args.center[1])
     op = case.family.instantiate(center, q=args.q)
-    gpw = construct_gpw(op, [GpwNormalization(theta=args.theta)])[0]
+    gpw = construct_gpw(op, [GpwNormalization(theta=args.theta)]).functions[0]
     _write(serialize_gpw(gpw), args.out)
     return 0
 

@@ -10,13 +10,14 @@ a nonzero multiple of the leading operator coefficient.  Solving level by
 level with forward substitution is therefore explicit; everything with
 x-degree below M stays free and is fixed by the normalization up front.
 The level systems depend on the operator alone, so the waves of a basis are
-solved together.  Level L needs residual layer L of the phase truncated at
-M + L, and the derivative-ratio layers behind it read only phase layers
-that earlier levels have fixed, apart from the newest ones: one
-residual_series call per level carries the ratio table from level to level
-and computes only the layers that level makes new or final, about
-(M+L)^3 operations per wave, where rerunning the whole recurrence cost
-about (M+L)^4.
+solved together, into one phase array: a GpwBasis, whose per-wave
+GpwPolynomial views are built when read.  Level L needs residual layer L of
+the phase truncated at M + L, and the derivative-ratio layers behind it
+read only phase layers that earlier levels have fixed, apart from the
+newest ones: one residual_series call per level carries the ratio table
+from level to level and computes only the layers that level makes new or
+final, about (M+L)^3 operations per wave, where rerunning the whole
+recurrence cost about (M+L)^4.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -150,9 +151,53 @@ class GpwPolynomial:
         return self.phase[(1, 0)], self.phase[(0, 1)]
 
 
+@dataclass(frozen=True, eq=False)
+class GpwBasis:
+    """The waves of one operator: row l of phases, shape (p, tri_size(M+q-1))
+    about the operator's center, is the phase normalized by normalizations[l].
+    functions holds the rows as GpwPolynomials, built when first read."""
+
+    operator: PdeOperator
+    phases: TaylorSeries2
+    normalizations: tuple[GpwNormalization, ...]
+
+    def __post_init__(self) -> None:
+        shape, degree = self.phases.coeffs.shape, self.operator.M + self.operator.q - 1
+        if len(shape) != 2:
+            raise ValueError(f"phases must carry one batch axis, got shape {shape}")
+        if shape[0] == 0:
+            raise ValueError("phases must hold at least one wave")
+        if self.phases.order != degree:
+            raise ValueError(f"phases of order {self.phases.order}, expected M+q-1 = {degree}")
+        if self.phases.center != tuple(self.operator.center):
+            raise ValueError(f"phases centered at {self.phases.center}, not the operator's")
+        if len(self.normalizations) != shape[0]:
+            raise ValueError(f"{len(self.normalizations)} normalizations for {shape[0]} phases")
+
+    @property
+    def p(self) -> int:
+        return len(self.normalizations)
+
+    @property
+    def angles(self) -> list[float]:
+        return [norm.theta for norm in self.normalizations]
+
+    @property
+    def kappa(self) -> complex:
+        return kappa_from_zeroth(self.operator)
+
+    @cached_property
+    def functions(self) -> list[GpwPolynomial]:
+        center, degree = self.phases.center, self.phases.order
+        return [
+            GpwPolynomial(self.operator, TaylorSeries2(center, degree, row), norm)
+            for row, norm in zip(self.phases.coeffs, self.normalizations)
+        ]
+
+
 def construct_gpw(
     op: PdeOperator | Sequence[PdeOperator], norms: Sequence[GpwNormalization]
-) -> list[GpwPolynomial] | list[list[GpwPolynomial]]:
+) -> GpwBasis | list[GpwBasis]:
     """Fill the free coefficients of each wave from its normalization, then
     solve the levels 0..q-1 in order by forward substitution, all waves at
     once.  Needs hypothesis 1, and hypothesis 2 only for pairs set by theta.
@@ -160,15 +205,15 @@ def construct_gpw(
     The level matrix depends on the operator alone, so it is built once per
     level; the waves differ only in their right-hand sides.  The residual's
     ratio layers are carried from level to level (see residual_series), so
-    level L costs about (M+L)^3 per wave.  A sequence of
-    operators of one family (see operator_batch) is solved in the same pass
-    and gives one list of waves per operator.  One operator is a batch of
-    one: every array carries the operator axis, and only the result drops it.
+    level L costs about (M+L)^3 per wave.  A sequence of operators of one
+    family (see operator_batch) is solved in the same pass and gives one
+    GpwBasis per operator.  One operator is a batch of one: every array
+    carries the operator axis, and only the result drops it.
     """
     ops = operator_batch(op)
     M, q = ops[0].M, ops[0].q
     degree = M + q - 1
-    norms = list(norms)
+    norms = tuple(norms)
     if not norms:
         raise ValueError("need at least one normalization")
     explicit = [norm.has_explicit_pair() for norm in norms]
@@ -232,14 +277,11 @@ def construct_gpw(
             solved += 1
     assert solved == n_eqn
 
-    waves = [
-        [
-            GpwPolynomial(other, TaylorSeries2(other.center, degree, row), norm)
-            for row, norm in zip(rows, norms)
-        ]
+    bases = [
+        GpwBasis(other, TaylorSeries2(other.center, degree, rows), norms)
         for rows, other in zip(arr, ops)
     ]
-    return waves[0] if isinstance(op, PdeOperator) else waves
+    return bases[0] if isinstance(op, PdeOperator) else bases
 
 
 def kappa_from_zeroth(op: PdeOperator) -> complex:
@@ -252,21 +294,6 @@ def kappa_from_zeroth(op: PdeOperator) -> complex:
     return principal_sqrt(-a00)
 
 
-@dataclass(frozen=True)
-class GpwBasis:
-    operator: PdeOperator
-    functions: list[GpwPolynomial]
-    angles: list[float]
-
-    @property
-    def p(self) -> int:
-        return len(self.functions)
-
-    @property
-    def kappa(self) -> complex:
-        return kappa_from_zeroth(self.operator)
-
-
 def basis_angles(p: int) -> list[float]:
     """p equispaced directions offset by FIRST_ANGLE (pi/6)."""
     return [FIRST_ANGLE + 2 * l * math.pi / p for l in range(p)]
@@ -275,22 +302,13 @@ def basis_angles(p: int) -> list[float]:
 def build_basis(
     op: PdeOperator | Sequence[PdeOperator], p: int
 ) -> GpwBasis | list[GpwBasis]:
-    """Construct the p-member basis with the standard normalization: one
-    wave per direction of basis_angles(p), its first-order pair taken from
-    the operator's symbol factorization and kappa_from_zeroth.  A sequence
-    of operators of one family gives one basis per operator, all built in
-    one construct_gpw call.
+    """construct_gpw with the standard normalization: one wave per direction
+    of basis_angles(p), its first-order pair taken from the operator's
+    symbol factorization and kappa_from_zeroth.
     """
     if p < 1:
         raise ValueError("p must be positive")
-    angles = basis_angles(p)
-    ops = operator_batch(op)
-    functions = construct_gpw(ops, [GpwNormalization(theta=theta) for theta in angles])
-    bases = [
-        GpwBasis(operator=other, functions=waves, angles=angles)
-        for other, waves in zip(ops, functions)
-    ]
-    return bases[0] if isinstance(op, PdeOperator) else bases
+    return construct_gpw(op, [GpwNormalization(theta=theta) for theta in basis_angles(p)])
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +330,40 @@ def serialize_gpw(gpw: GpwPolynomial) -> str:
 
 def parse_gpw_text(text: str) -> tuple[tuple[float, float], int, int, dict[Index, complex]]:
     """Inverse of serialize_gpw, up to the operator itself: returns
-    (center, M, q, coefficient map)."""
+    (center, M, q, coefficient map).  Each index of the triangle of order
+    M+q-1 appears once, finite, or a ValueError names the line."""
     center: tuple[float, float] | None = None
     M = q = None
     values: dict[Index, complex] = {}
+    where: dict[Index, int] = {}  # the line of each coefficient
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "center":
-            center = (float(parts[1]), float(parts[2]))
-        elif parts[0] == "M":
-            M = int(parts[1])
-        elif parts[0] == "q":
-            q = int(parts[1])
-        elif len(parts) == 4:
-            i, j = int(parts[0]), int(parts[1])
-            values[(i, j)] = complex(float(parts[2]), float(parts[3]))
-        else:
-            raise ValueError(f"line {lineno}: unrecognized {raw!r}")
+        try:
+            match raw.split():
+                case ["center", x, y]:
+                    center = (float(x), float(y))
+                case ["M", order]:
+                    M = int(order)
+                case ["q", order]:
+                    q = int(order)
+                case [i, j, real, imag]:
+                    ij, value = (int(i), int(j)), complex(float(real), float(imag))
+                    if ij in where:
+                        raise ValueError(f"{ij} repeats line {where[ij]}")
+                    if not cmath.isfinite(value):
+                        raise ValueError(f"{ij} is not finite")
+                    values[ij], where[ij] = value, lineno
+                case [_, *_]:  # any other line but a blank one
+                    raise ValueError("unrecognized")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}: {raw!r}") from None
     if center is None or M is None or q is None:
         raise ValueError("missing center/M/q header")
-    if len(values) != tri_size(M + q - 1):
-        raise ValueError(f"expected {tri_size(M + q - 1)} coefficients, got {len(values)}")
+    if min(M, q) < 1:
+        raise ValueError(f"M and q must be positive, got M {M}, q {q}")
+    degree = M + q - 1
+    for (i, j), lineno in where.items():
+        if min(i, j) < 0 or i + j > degree:
+            raise ValueError(f"line {lineno}: ({i}, {j}) outside the triangle of order {degree}")
+    if len(values) != tri_size(degree):
+        raise ValueError(f"expected {tri_size(degree)} coefficients, got {len(values)}")
     return center, M, q, values

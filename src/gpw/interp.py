@@ -69,12 +69,12 @@ def least_tangency(n: int) -> int:
 def assemble_gpw_matrix(basis: GpwBasis | Sequence[GpwBasis], n: int) -> TaylorSeries2:
     """The order-n series of exp(phase_l), one row per wave of the basis.
 
-    Phases of degree below n are zero-padded (exact: they are polynomials);
-    all p phases are exponentiated in one batched ts_exp call.  A sequence
-    of bases of one size p and one phase degree gives one batch of p rows
-    per basis, labelled with the first basis's center, all exponentiated in
-    the same call.  Matching theory wants q >= least_tangency(n); below that
-    the matrix still assembles but loses its range guarantee, so warn.
+    The basis's phase array, zero-padded when its degree is below n (exact:
+    phases are polynomials), goes to one batched ts_exp call as it is.  A
+    sequence of bases of one size p and one phase degree stacks their phase
+    arrays into a (bases, p) batch, labelled with the first basis's center,
+    for the same call.  Matching theory wants q >= least_tangency(n); below
+    that the matrix still assembles but loses its range guarantee, so warn.
     """
     bases = [basis] if isinstance(basis, GpwBasis) else list(basis)
     if not bases:
@@ -82,7 +82,7 @@ def assemble_gpw_matrix(basis: GpwBasis | Sequence[GpwBasis], n: int) -> TaylorS
     sizes = sorted({other.p for other in bases})
     if len(sizes) > 1:
         raise ValueError(f"bases of a batch differ in size p: {sizes}")
-    degrees = sorted({gpw.degree for other in bases for gpw in other.functions})
+    degrees = sorted({other.phases.order for other in bases})
     if len(degrees) != 1:
         raise ValueError(f"bases of a batch differ in phase degree: {degrees}")
     q = min(other.operator.q for other in bases)
@@ -93,10 +93,11 @@ def assemble_gpw_matrix(basis: GpwBasis | Sequence[GpwBasis], n: int) -> TaylorS
             MatchingOrderWarning,
             stacklevel=2,
         )
-    phases = np.array([[gpw.phase.coeffs for gpw in other.functions] for other in bases])
     if isinstance(basis, GpwBasis):
-        phases = phases[0]
-    phases = TaylorSeries2(bases[0].operator.center, degrees[0], phases)
+        phases = basis.phases
+    else:
+        stacked = np.stack([other.phases.coeffs for other in bases])
+        phases = TaylorSeries2(bases[0].operator.center, degrees[0], stacked)
     return ts_exp(phases.with_order(max(n, degrees[0])), order=n)
 
 

@@ -68,7 +68,7 @@ def _helmholtz(kappa: float) -> OperatorFamily:
 
 def _single_wave(op, theta: float):
     check_hypotheses(op)  # raises unless both hypotheses hold at the center
-    return construct_gpw(op, [GpwNormalization(theta=theta)])[0]
+    return construct_gpw(op, [GpwNormalization(theta=theta)]).functions[0]
 
 
 def test_criterion_1_defining_property():

@@ -394,6 +394,12 @@ def test_read_report_csv_malformed():
         read_report_csv("h,err\n1,2\n")
     with pytest.raises(ValueError, match="malformed"):
         read_report_csv(CSV_HEADER + "\ncs,1,1,3,0,1.0\n")
+    with pytest.raises(ValueError, match=r"malformed CSV row 'cs,1,1,3,0,1.0,abc,2.0,0.0'"):
+        read_report_csv(CSV_HEADER + "\ncs,1,1,3,0,1.0,abc,2.0,0.0\n")
+    with pytest.raises(ValueError, match=r"malformed CSV row 'cs,x,1,3,0,1.0,0.5,2.0,0.0'"):
+        read_report_csv(CSV_HEADER + "\ncs,x,1,3,0,1.0,0.5,2.0,0.0\n")
+    with pytest.raises(ValueError, match="errors must be finite"):
+        read_report_csv(CSV_HEADER + "\ncs,1,1,3,0,1.0,nan,2.0,0.0\n")
 
 
 def test_emit_report_returns_text_and_writes_no_file():

@@ -20,6 +20,7 @@ import gpw.construction
 import gpw.operators
 from gpw.construction import (
     FIRST_ANGLE,
+    GpwBasis,
     GpwNormalization,
     basis_angles,
     build_basis,
@@ -404,7 +405,7 @@ def test_airy_level0_coefficient():
     op = AIRY.instantiate((x0, y0), q=2)
     # A = D = I for Airy, so the kappa=1.7 pair of direction 0.9 is explicit
     pair = {(1, 0): 1.7j * math.cos(0.9), (0, 1): 1.7j * math.sin(0.9)}
-    gpw = construct_gpw(op, [GpwNormalization(fixed_values=pair)])[0]
+    gpw = construct_gpw(op, [GpwNormalization(fixed_values=pair)]).functions[0]
     l10, l01 = gpw.first_order_pair()
     want = (x0 + y0) - 0.5 * (l10**2 + l01**2)
     assert gpw[(2, 0)] == pytest.approx(want, rel=1e-13)
@@ -453,7 +454,7 @@ def test_constructed_residual_with_random_fixed_values():
                 (0, 1): complex(rng.standard_normal(), rng.standard_normal()),
             }
             norm = GpwNormalization(fixed_values={**fixed, **pair})
-            gpw = construct_gpw(op, [norm])[0]
+            gpw = construct_gpw(op, [norm]).functions[0]
             for ij, value in {**fixed, **pair}.items():
                 assert gpw[ij] == value
             res = residual_series(op, gpw.phase, q - 1)
@@ -486,7 +487,7 @@ def test_type_changing_operator_with_explicit_pair():
     with pytest.raises(HypothesisError, match="no usable symbol factorization at the center"):
         check_hypotheses(op)
     norm = GpwNormalization(fixed_values={(1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j})
-    gpw = construct_gpw(op, [norm])[0]
+    gpw = construct_gpw(op, [norm]).functions[0]
     res = residual_series(op, gpw.phase, 2)
     assert res.max_abs() < 1e-11 * max(1.0, gpw.phase.max_abs())
     with pytest.raises(ValueError):
@@ -496,7 +497,7 @@ def test_type_changing_operator_with_explicit_pair():
 def test_solving_level0_only_leaves_longer_cells():
     op = AIRY.instantiate((0.3, 0.4), q=1, coeff_order=2)
     basis_op = AIRY.instantiate((0.3, 0.4), q=1)
-    gpw = construct_gpw(basis_op, [GpwNormalization()])[0]
+    gpw = construct_gpw(basis_op, [GpwNormalization()]).functions[0]
     padded = gpw.phase.with_order(3)
     res = residual_series(op, padded, 1)
     assert abs(res[(0, 0)]) < 1e-13
@@ -519,7 +520,7 @@ def test_quadratic_identity_on_first_order_pair():
 
 def test_counting_matches_solved_coefficients():
     op = MIXED.instantiate((0.2, 0.1), q=3)
-    gpw = construct_gpw(op, [GpwNormalization()])[0]
+    gpw = construct_gpw(op, [GpwNormalization()]).functions[0]
     n_dof, n_eqn, n_fixed = dof_counts(2, 3)
     assert tri_size(gpw.degree) == n_dof
     solved = sum(1 for i, j in graded_indices(gpw.degree) if i >= 2)
@@ -563,24 +564,24 @@ def test_normalization_errors():
     op = helmholtz().instantiate((0.0, 0.0), q=2)
     degenerate = OperatorFamily(M=2, terms={(2, 0): "1", (0, 2): "x**3"})
     with pytest.raises(ValueError, match="factorization"):
-        construct_gpw(degenerate.instantiate((0.0, 0.0), q=2), [GpwNormalization()])[0]
+        construct_gpw(degenerate.instantiate((0.0, 0.0), q=2), [GpwNormalization()]).functions[0]
     with pytest.raises(ValueError, match="both"):
-        construct_gpw(op, [GpwNormalization(fixed_values={(1, 0): 1.0})])[0]
+        construct_gpw(op, [GpwNormalization(fixed_values={(1, 0): 1.0})]).functions[0]
     with pytest.raises(ValueError, match="constant"):
         construct_gpw(
             op,
             [GpwNormalization(fixed_values={(0, 0): 1.0})],
-        )[0]
+        ).functions[0]
     with pytest.raises(ValueError, match="solved"):
         construct_gpw(
             op,
             [GpwNormalization(fixed_values={(2, 0): 1.0})],
-        )[0]
+        ).functions[0]
     with pytest.raises(ValueError, match="degree"):
         construct_gpw(
             op,
             [GpwNormalization(fixed_values={(0, 9): 1.0})],
-        )[0]
+        ).functions[0]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, -math.inf), complex(math.nan, 1)])
@@ -608,7 +609,7 @@ def test_normalization_rejects_negative_indices():
 def test_vanishing_leading_coefficient_rejected():
     op = PRODUCT.instantiate((0.0, 2.0), q=2)
     with pytest.raises(ValueError, match="leading"):
-        construct_gpw(op, [GpwNormalization()])[0]
+        construct_gpw(op, [GpwNormalization()]).functions[0]
     with pytest.raises(ValueError, match="leading"):
         build_basis(op, 3)
 
@@ -624,7 +625,7 @@ def test_leading_coefficient_threshold_is_hyp1_rtol():
         )
         if accepted:
             check_hypotheses(op)
-            assert construct_gpw(op, [pair])[0].degree == 3
+            assert construct_gpw(op, [pair]).functions[0].degree == 3
         else:
             with pytest.raises(HypothesisError, match="leading"):
                 check_hypotheses(op)
@@ -643,7 +644,7 @@ def test_build_basis_argument_errors():
 
 def test_serialize_parse_roundtrip():
     op = MIXED.instantiate((0.25, -0.75), q=3)
-    gpw = construct_gpw(op, [GpwNormalization(theta=1.1)])[0]
+    gpw = construct_gpw(op, [GpwNormalization(theta=1.1)]).functions[0]
     text = serialize_gpw(gpw)
     center, M, q, values = parse_gpw_text(text)
     assert center == gpw.center
@@ -657,13 +658,32 @@ def test_parse_rejects_malformed_text():
     with pytest.raises(ValueError, match="header"):
         parse_gpw_text("0 0 1.0 0.0\n")
     op = helmholtz().instantiate((0.0, 0.0), q=1)
-    gpw = construct_gpw(op, [GpwNormalization()])[0]
+    gpw = construct_gpw(op, [GpwNormalization()]).functions[0]
     text = serialize_gpw(gpw)
     truncated = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(ValueError, match="coefficients"):
         parse_gpw_text(truncated)
     with pytest.raises(ValueError, match="unrecognized"):
         parse_gpw_text(text + "what is this\n")
+    lines = text.splitlines()  # center, M, q, then (0, 0) on line 4
+    last = len(lines)
+
+    def edited(line, at=last):
+        return "\n".join(lines[: at - 1] + [line] + lines[at:]) + "\n"
+
+    # a stray index in place of the last coefficient: the count alone passes
+    for stray in ("9 9 1.0 0.0", "-1 5 1.0 0.0"):
+        with pytest.raises(ValueError, match=rf"line {last}: .* outside the triangle of order 2"):
+            parse_gpw_text(edited(stray))
+    with pytest.raises(ValueError, match=rf"line {last}: \(0, 0\) repeats line 4"):
+        parse_gpw_text(edited(lines[3]))
+    i, j, re_part, _ = lines[-1].split()
+    with pytest.raises(ValueError, match=rf"line {last}: \({i}, {j}\) is not finite"):
+        parse_gpw_text(edited(f"{i} {j} {re_part} nan"))
+    with pytest.raises(ValueError, match="line 2: invalid literal for int"):
+        parse_gpw_text(edited("M x", at=2))
+    with pytest.raises(ValueError, match="line 3: invalid literal for int"):
+        parse_gpw_text(edited("q 1.5", at=3))
 
 
 # --- batched construction -------------------------------------------------------
@@ -681,12 +701,49 @@ def test_batched_construction_matches_single_wave_calls(family, center):
     op = family.instantiate(center, q=5)
     norms = _standard_norms(op, 7)
     norms.append(GpwNormalization(fixed_values={(1, 0): 0.3 + 1j, (0, 1): -0.2j, (0, 3): 0.7}))
-    batch = construct_gpw(op, norms)
+    batch = construct_gpw(op, norms).functions
     assert [gpw.normalization for gpw in batch] == norms
     for gpw, norm in zip(batch, norms):
-        [alone] = construct_gpw(op, [norm])
+        [alone] = construct_gpw(op, [norm]).functions
         scale = np.max(np.abs(alone.phase.coeffs))
         np.testing.assert_allclose(gpw.phase.coeffs, alone.phase.coeffs, rtol=0, atol=1e-14 * scale)
+
+
+def test_basis_functions_are_views_of_its_phase_rows():
+    op = MIXED.instantiate((0.3, -0.6), q=4)
+    norms = _standard_norms(op, 5)
+    norms.append(GpwNormalization(fixed_values={(1, 0): 0.3 + 1j, (0, 1): -0.2j, (0, 3): 0.7}))
+    basis = construct_gpw(op, norms)
+    assert basis.operator is op and basis.normalizations == tuple(norms)
+    assert basis.p == 6 and basis.angles == [norm.theta for norm in norms]
+    assert basis.phases.coeffs.shape == (6, tri_size(op.M + op.q - 1))
+    assert basis.functions is basis.functions  # built once, when first read
+    for l, fn in enumerate(basis.functions):
+        assert fn.operator is op and fn.normalization is norms[l]
+        assert (fn.center, fn.degree) == (basis.phases.center, basis.phases.order)
+        assert np.array_equal(fn.phase.coeffs.view(float), basis.phases.coeffs[l].view(float))
+
+
+def test_basis_rejects_fields_that_disagree():
+    op = MIXED.instantiate((0.3, -0.6), q=2)
+    basis = build_basis(op, 3)
+    phases, norms = basis.phases, basis.normalizations
+    center, degree = phases.center, phases.order
+
+    def series(coeffs, at=center):
+        return TaylorSeries2(at, degree, coeffs)
+
+    rejected = [
+        (series(phases.coeffs[0]), norms[:1], r"one batch axis, got shape \(10,\)"),
+        (series(phases.coeffs[None]), norms, "phases must carry one batch axis"),
+        (series(phases.coeffs[:0]), (), "phases must hold at least one wave"),
+        (phases.with_order(4), norms, r"phases of order 4, expected M\+q-1 = 3"),
+        (series(phases.coeffs, at=(0.0, 0.0)), norms, r"phases centered at \(0.0, 0.0\)"),
+        (phases, norms[:2], "2 normalizations for 3 phases"),
+    ]
+    for bad, normalizations, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            GpwBasis(op, bad, normalizations)
 
 
 def test_construct_gpw_needs_a_normalization():
@@ -724,7 +781,7 @@ def _construct_by_full_residuals(op, norms):
     """construct_gpw with every level's residual recomputed from layer 0 by
     the all-ts_mul recurrence, nothing carried between levels."""
     with mock.patch.object(gpw.construction, "residual_series", residual_by_products):
-        return construct_gpw(op, norms)
+        return construct_gpw(op, norms).functions
 
 
 def _phases(waves):
@@ -738,7 +795,7 @@ def test_carried_ratio_table_matches_full_residuals_per_level(name, q):
     for center in draw_centers(case, 2, np.random.default_rng(q)):
         op = case.family.instantiate(center, q=q)
         norms = [GpwNormalization(theta=theta) for theta in basis_angles(2 * q + 3)]
-        got = _phases(construct_gpw(op, norms))
+        got = _phases(construct_gpw(op, norms).functions)
         want = _phases(_construct_by_full_residuals(op, norms))
         scale = np.max(np.abs(want), axis=-1)
         assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-13 * scale), (name, center)
@@ -752,7 +809,7 @@ def test_carried_ratio_table_matches_full_residuals_at_order_four(q):
         GpwNormalization(fixed_values={(1, 0): 1j * math.cos(theta), (0, 1): 1j * math.sin(theta)})
         for theta in basis_angles(5)
     ]
-    waves = construct_gpw(op, norms)
+    waves = construct_gpw(op, norms).functions
     got, want = _phases(waves), _phases(_construct_by_full_residuals(op, norms))
     scale = np.max(np.abs(want), axis=-1)
     assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-13 * scale)

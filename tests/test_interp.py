@@ -228,9 +228,10 @@ def test_batched_gpw_matrix_rejects_mixed_bases():
         assemble_gpw_matrix([five, deeper], 2)
     with pytest.raises(ValueError, match="at least one basis"):
         assemble_gpw_matrix([], 2)
-    empty = GpwBasis(operator=ops[0], functions=[], angles=[])
-    with pytest.raises(ValueError, match="phase degree"):
-        assemble_gpw_matrix(empty, 2)
+    # a basis without waves is refused where it is built
+    empty = TaylorSeries2(ops[0].center, 3, np.zeros((0, tri_size(3))))
+    with pytest.raises(ValueError, match="phases must hold at least one wave"):
+        GpwBasis(ops[0], empty, ())
 
 
 # --- rank --------------------------------------------------------------------
